@@ -6,7 +6,7 @@ engine, shifted-window attention models for spectrum reconstruction, a
 training loop, and Monte Carlo evaluation drivers.
 """
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .classical import (
     OmpResult,
     estimate_order_aic,

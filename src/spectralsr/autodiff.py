@@ -5,14 +5,40 @@ quantities are handled one level up (see :mod:`spectralsr.cvops`) as
 pairs of real tensors, so gradients of a real loss with respect to the
 real and imaginary parts come out of the same machinery with no special
 casing.
+
+Each op builds its output with ``Tensor(data, _parents=..., _backward=...)``;
+the constructor records that tape entry only while grad mode is on, so
+inside :func:`no_grad` every intermediate is freed as soon as the next op
+has used it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 import numpy as np
 from scipy.special import erf as _erf
 
-__all__ = ["Tensor", "where", "softmax", "modulus", "conv1d", "conv_transpose1d"]
+__all__ = ["Tensor", "no_grad", "where", "softmax", "modulus", "conv1d", "conv_transpose1d"]
+
+_GRAD_ENABLED = contextvars.ContextVar("spectralsr_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block.
+
+    Op outputs get no parents, no backward closure and
+    ``requires_grad=False``.  Leaves created with an explicit
+    ``requires_grad=True`` keep the flag.  The previous mode is restored
+    on exit, also after an exception and when nested.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 def _unbroadcast(grad, shape):
@@ -36,6 +62,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        if _parents and not _GRAD_ENABLED.get():
+            _parents, _backward = (), None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._parents = _parents
         self._backward = _backward
@@ -110,7 +138,6 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._wrap(other)
-        out = Tensor(self.data + other.data, _parents=(self, other))
 
         def back(g):
             if self.requires_grad:
@@ -118,20 +145,16 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other), _backward=back)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, _parents=(self,))
-
         def back(g):
             if self.requires_grad:
                 self._accumulate(-g)
 
-        out._backward = back
-        return out
+        return Tensor(-self.data, _parents=(self,), _backward=back)
 
     def __sub__(self, other):
         return self + (-Tensor._wrap(other))
@@ -141,7 +164,6 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._wrap(other)
-        out = Tensor(self.data * other.data, _parents=(self, other))
 
         def back(g):
             if self.requires_grad:
@@ -149,14 +171,12 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other), _backward=back)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._wrap(other)
-        out = Tensor(self.data / other.data, _parents=(self, other))
 
         def back(g):
             if self.requires_grad:
@@ -164,93 +184,73 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-g * self.data / other.data**2, other.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data / other.data, _parents=(self, other), _backward=back)
 
     def __rtruediv__(self, other):
         return Tensor._wrap(other) / self
 
     def __pow__(self, p):
         p = float(p)
-        out = Tensor(self.data**p, _parents=(self,))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(g * p * self.data ** (p - 1.0))
 
-        out._backward = back
-        return out
+        return Tensor(self.data**p, _parents=(self,), _backward=back)
 
     # -- transcendental ------------------------------------------------
 
     def exp(self):
-        out = Tensor(np.exp(self.data), _parents=(self,))
+        e = np.exp(self.data)
 
         def back(g):
             if self.requires_grad:
-                self._accumulate(g * out.data)
+                self._accumulate(g * e)
 
-        out._backward = back
-        return out
+        return Tensor(e, _parents=(self,), _backward=back)
 
     def log(self):
-        out = Tensor(np.log(self.data), _parents=(self,))
-
         def back(g):
             if self.requires_grad:
                 self._accumulate(g / self.data)
 
-        out._backward = back
-        return out
+        return Tensor(np.log(self.data), _parents=(self,), _backward=back)
 
     def sqrt(self, eps=0.0):
         """Square root; ``eps`` floors the derivative's denominator near zero."""
         root = np.sqrt(self.data)
-        out = Tensor(root, _parents=(self,))
 
         def back(g):
             if self.requires_grad:
                 denom = 2.0 * np.maximum(root, eps) if eps else 2.0 * root
                 self._accumulate(g / denom)
 
-        out._backward = back
-        return out
+        return Tensor(root, _parents=(self,), _backward=back)
 
     def erf(self):
-        out = Tensor(_erf(self.data), _parents=(self,))
-
         def back(g):
             if self.requires_grad:
                 self._accumulate(g * (2.0 / np.sqrt(np.pi)) * np.exp(-self.data**2))
 
-        out._backward = back
-        return out
+        return Tensor(_erf(self.data), _parents=(self,), _backward=back)
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), _parents=(self,))
-
         def back(g):
             if self.requires_grad:
                 self._accumulate(g * (self.data > 0.0))
 
-        out._backward = back
-        return out
+        return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _backward=back)
 
     def clamp_min(self, lo):
-        out = Tensor(np.maximum(self.data, lo), _parents=(self,))
-
         def back(g):
             if self.requires_grad:
                 self._accumulate(g * (self.data >= lo))
 
-        out._backward = back
-        return out
+        return Tensor(np.maximum(self.data, lo), _parents=(self,), _backward=back)
 
     # -- reductions ----------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,))
-
         def back(g):
             if not self.requires_grad:
                 return
@@ -262,8 +262,7 @@ class Tensor:
                 g = np.expand_dims(g, axes)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        out._backward = back
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _backward=back)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -278,76 +277,63 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), _parents=(self,))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data.reshape(shape), _parents=(self,), _backward=back)
 
     def transpose(self, axes):
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out = Tensor(self.data.transpose(axes), _parents=(self,))
 
         def back(g):
             if self.requires_grad:
                 self._accumulate(g.transpose(inv))
 
-        out._backward = back
-        return out
+        return Tensor(self.data.transpose(axes), _parents=(self,), _backward=back)
 
     def swap_last2(self):
         axes = tuple(range(self.ndim - 2)) + (self.ndim - 1, self.ndim - 2)
         return self.transpose(axes)
 
     def roll(self, shift, axis):
-        out = Tensor(np.roll(self.data, shift, axis=axis), _parents=(self,))
-
         def back(g):
             if self.requires_grad:
                 self._accumulate(np.roll(g, -shift, axis=axis))
 
-        out._backward = back
-        return out
+        return Tensor(np.roll(self.data, shift, axis=axis), _parents=(self,), _backward=back)
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], _parents=(self,))
-
         def back(g):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 full[idx] += g
                 self._accumulate(full)
 
-        out._backward = back
-        return out
+        return Tensor(self.data[idx], _parents=(self,), _backward=back)
 
     def gather_last(self, idx):
         """Fancy-index the last axis with an integer array (duplicates allowed)."""
         idx = np.asarray(idx)
-        out = Tensor(self.data[..., idx], _parents=(self,))
 
         def back(g):
             if not self.requires_grad:
                 return
             full = np.zeros_like(self.data)
             flat = full.reshape(-1, self.shape[-1])
-            gflat = g.reshape(-1, *idx.shape)
-            for i in range(flat.shape[0]):
-                np.add.at(flat[i], idx, gflat[i])
+            rows = np.arange(flat.shape[0])[:, None]
+            # np.add.at is unbuffered, so duplicate indices of a row add up
+            np.add.at(flat, (rows, idx.reshape(1, -1)), g.reshape(flat.shape[0], -1))
             self._accumulate(full)
 
-        out._backward = back
-        return out
+        return Tensor(self.data[..., idx], _parents=(self,), _backward=back)
 
     # -- linear algebra ------------------------------------------------
 
     def __matmul__(self, other):
         other = Tensor._wrap(other)
-        out = Tensor(self.data @ other.data, _parents=(self, other))
 
         def back(g):
             if self.requires_grad:
@@ -357,8 +343,7 @@ class Tensor:
                 gb = np.swapaxes(self.data, -1, -2) @ g
                 other._accumulate(_unbroadcast(gb, other.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data @ other.data, _parents=(self, other), _backward=back)
 
 
 def where(mask, a, b):
@@ -366,7 +351,6 @@ def where(mask, a, b):
     mask = np.asarray(mask, dtype=bool)
     a = Tensor._wrap(a)
     b = Tensor._wrap(b)
-    out = Tensor(np.where(mask, a.data, b.data), _parents=(a, b))
 
     def back(g):
         if a.requires_grad:
@@ -374,8 +358,7 @@ def where(mask, a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(np.where(mask, 0.0, g), b.shape))
 
-    out._backward = back
-    return out
+    return Tensor(np.where(mask, a.data, b.data), _parents=(a, b), _backward=back)
 
 
 def softmax(x, axis=-1):
@@ -388,7 +371,6 @@ def softmax(x, axis=-1):
 def modulus(re, im, eps=1e-12):
     """sqrt(re^2 + im^2) with gradients floored at ``eps`` to stay bounded at 0."""
     m = np.sqrt(re.data**2 + im.data**2)
-    out = Tensor(m, _parents=(re, im))
     denom = np.maximum(m, eps)
 
     def back(g):
@@ -397,8 +379,7 @@ def modulus(re, im, eps=1e-12):
         if im.requires_grad:
             im._accumulate(g * im.data / denom)
 
-    out._backward = back
-    return out
+    return Tensor(m, _parents=(re, im), _backward=back)
 
 
 def conv1d(x, w, stride=1, padding=0):
@@ -414,7 +395,6 @@ def conv1d(x, w, stride=1, padding=0):
     if m_out < 1:
         raise ValueError("kernel longer than padded input")
     patches = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
-    out = Tensor(np.einsum("bcmk,ock->bom", patches, wd, optimize=True), _parents=(x, w))
 
     def back(g):
         if w.requires_grad:
@@ -429,8 +409,8 @@ def conv1d(x, w, stride=1, padding=0):
                 gx = gx[:, :, padding:-padding]
             x._accumulate(gx)
 
-    out._backward = back
-    return out
+    data = np.einsum("bcmk,ock->bom", patches, wd, optimize=True)
+    return Tensor(data, _parents=(x, w), _backward=back)
 
 
 def conv_transpose1d(x, w, stride, crop=0):
@@ -449,7 +429,6 @@ def conv_transpose1d(x, w, stride, crop=0):
             "bcm,co->bom", xd, wd[:, :, t], optimize=True
         )
     data = full[:, :, crop : full.shape[2] - crop] if crop else full
-    out = Tensor(data, _parents=(x, w))
 
     def back(g):
         gf = np.zeros_like(full)
@@ -473,5 +452,4 @@ def conv_transpose1d(x, w, stride, crop=0):
                 )
             w._accumulate(gw)
 
-    out._backward = back
-    return out
+    return Tensor(data, _parents=(x, w), _backward=back)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv1d, modulus, softmax, where
+from .autodiff import Tensor, conv1d, modulus, no_grad, softmax, where
 
 SOFTMAX_EPS = 1e-12  # below this modulus the phase is defined as 1
 
@@ -393,6 +393,8 @@ def grad_check(fn, leaves, eps=1e-5):
 
     ``fn`` rebuilds a scalar loss Tensor from the current leaf values;
     real and imaginary parts of complex leaves are perturbed independently.
+    Only the analytic pass records a tape; the central differences need
+    forward values alone and run under :func:`no_grad`.
     """
     flat = _leaf_tensors(leaves)
     for t in flat:
@@ -400,17 +402,18 @@ def grad_check(fn, leaves, eps=1e-5):
     fn().backward()
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in flat]
     worst = 0.0
-    for t, ana in zip(flat, analytic):
-        it = np.nditer(t.data, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = t.data[idx]
-            t.data[idx] = orig + eps
-            hi = fn().item()
-            t.data[idx] = orig - eps
-            lo = fn().item()
-            t.data[idx] = orig
-            num = (hi - lo) / (2.0 * eps)
-            err = abs(ana[idx] - num) / max(1e-8, abs(num))
-            worst = max(worst, err)
+    with no_grad():
+        for t, ana in zip(flat, analytic):
+            it = np.nditer(t.data, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                orig = t.data[idx]
+                t.data[idx] = orig + eps
+                hi = fn().item()
+                t.data[idx] = orig - eps
+                lo = fn().item()
+                t.data[idx] = orig
+                num = (hi - lo) / (2.0 * eps)
+                err = abs(ana[idx] - num) / max(1e-8, abs(num))
+                worst = max(worst, err)
     return worst

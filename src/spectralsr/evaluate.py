@@ -118,10 +118,14 @@ class ExperimentReport:
     errors: dict = field(default_factory=dict)  # method -> failed-trial count
 
     def to_json(self):
+        """Strict JSON: an undefined curve point (every trial of the method
+        failed, NaN in ``curves``) is written as ``null``."""
         payload = {
             "experiment": self.experiment,
             "x_values": list(self.x_values),
-            "curves": {k: list(v) for k, v in sorted(self.curves.items())},
+            "curves": {
+                k: [None if np.isnan(y) else y for y in v] for k, v in sorted(self.curves.items())
+            },
             "trial_counts": list(self.trial_counts),
             "config": self.config,
             "seed": self.seed,

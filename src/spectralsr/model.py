@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv1d, conv_transpose1d
+from .autodiff import Tensor, conv1d, conv_transpose1d, no_grad
 from .cvops import (
     AttentionParams,
     ComplexAffine,
@@ -366,10 +366,15 @@ def model_forward_tensor(x_ct, store):
 
 
 def model_forward(signal, store):
-    """Full inference: normalize, run the graph, return numpy spectra."""
+    """Full inference: normalize, run the graph, return numpy spectra.
+
+    Runs under :func:`~spectralsr.autodiff.no_grad`, so no tape is built
+    and each intermediate is freed as soon as the next op has used it.
+    """
     arr = np.atleast_2d(np.asarray(signal, dtype=np.complex128))
     arr = np.stack([minmax_normalize(row) for row in arr])
-    out = model_forward_tensor(CTensor.from_numpy(arr), store)
+    with no_grad():
+        out = model_forward_tensor(CTensor.from_numpy(arr), store)
     result = out.data
     return result[0] if np.asarray(signal).ndim == 1 else result
 

@@ -233,13 +233,20 @@ def write_dataset(path, dataset):
         fh.write(sig.astype(np.dtype(np.complex128).newbyteorder("<")).tobytes())
 
 
+def _read_exact(fh, size, path, what):
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {what}: expected {size} bytes, got {len(data)}")
+    return data
+
+
 def read_dataset(path):
     with open(path, "rb") as fh:
         if fh.read(4) != DATASET_MAGIC:
             raise ValueError(f"{path}: not a dataset file (bad magic)")
-        (json_len,) = struct.unpack("<I", fh.read(4))
-        scenes, meta = scenes_from_json(fh.read(json_len).decode())
-        count, length = struct.unpack("<II", fh.read(8))
+        (json_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "scene header length"))
+        scenes, meta = scenes_from_json(_read_exact(fh, json_len, path, "scene header").decode())
+        count, length = struct.unpack("<II", _read_exact(fh, 8, path, "count/length header"))
         raw = fh.read()
     dtype = np.dtype(np.complex128).newbyteorder("<")
     expected = count * length * dtype.itemsize

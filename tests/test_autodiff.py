@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from spectralsr.autodiff import Tensor, conv1d, conv_transpose1d, modulus, softmax, where
+from spectralsr.autodiff import (
+    Tensor,
+    conv1d,
+    conv_transpose1d,
+    modulus,
+    no_grad,
+    softmax,
+    where,
+)
 
 
 def numeric_grad(fn, t, eps=1e-6):
@@ -167,3 +175,55 @@ def test_conv_transpose1d_grad():
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
         Tensor(np.zeros(3), requires_grad=True).backward()
+
+
+def test_gather_last_duplicate_indices_match_per_row_scatter():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
+    idx = np.array([[0, 6, 3], [3, 3, 0], [6, 1, 3]])
+    proj = rng.normal(size=(2, 3) + idx.shape)
+    (x.gather_last(idx) * proj).sum().backward()
+    ref = np.zeros_like(x.data)
+    flat = ref.reshape(-1, 7)
+    gflat = proj.reshape(-1, *idx.shape)
+    for i in range(flat.shape[0]):
+        np.add.at(flat[i], idx, gflat[i])
+    assert np.array_equal(x.grad, ref)
+
+
+def test_no_grad_records_no_tape():
+    a = Tensor(np.arange(3.0), requires_grad=True)
+    with no_grad():
+        y = (a * 2.0).exp().sum()
+    assert not y.requires_grad
+    assert y._parents == () and y._backward is None
+    y.backward()
+    assert a.grad is None
+    z = (a * 2.0).sum()
+    assert z.requires_grad and z._parents
+
+
+def test_no_grad_leaf_keeps_explicit_requires_grad():
+    with no_grad():
+        leaf = Tensor(np.ones(2), requires_grad=True)
+        plain = Tensor(np.ones(2))
+    assert leaf.requires_grad and not plain.requires_grad
+    (leaf * leaf).sum().backward()
+    assert np.array_equal(leaf.grad, 2.0 * np.ones(2))
+
+
+def _grad_mode_on():
+    return Tensor(1.0, requires_grad=True).exp().requires_grad
+
+
+def test_no_grad_restores_mode_after_exception_and_nesting():
+    assert _grad_mode_on()
+    with pytest.raises(RuntimeError, match="boom"):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert _grad_mode_on()
+    with no_grad():
+        with no_grad():
+            assert not _grad_mode_on()
+        assert not _grad_mode_on()
+    assert _grad_mode_on()

@@ -141,3 +141,29 @@ def test_baseline_bad_input_exits_1(tmp_path):
     bad.write_bytes(b"XXXX1234")
     assert run(["baseline", "--method", "periodogram", "--data", bad,
                 "--out", tmp_path / "o.bin"]) == 1
+
+
+# cut length inside each field of a dataset file, from the file size and
+# the scene header length
+TRUNCATIONS = {
+    "magic": lambda size, json_len: 2,
+    "scene-header-length": lambda size, json_len: 6,
+    "scene-header": lambda size, json_len: 8 + json_len // 2,
+    "count-length-header": lambda size, json_len: 8 + json_len + 3,
+    "payload": lambda size, json_len: size - 5,
+}
+
+
+@pytest.mark.parametrize("field", list(TRUNCATIONS))
+def test_eval_truncated_dataset_exits_1_with_one_line(tmp_path, capsys, field):
+    data = tmp_path / "d.bin"
+    run(["generate", "--n", 2, "--out", data, "--signal-dim", 8, "--n-sr", 32])
+    raw = data.read_bytes()
+    json_len = int.from_bytes(raw[4:8], "little")
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(raw[: TRUNCATIONS[field](len(raw), json_len)])
+    capsys.readouterr()
+    assert run(["eval", "--data", cut]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cut) in err

@@ -174,6 +174,23 @@ class TestExperiments:
         assert np.isnan(report.curves["broken"][0])
         assert report.errors["periodogram"] == 0
 
+    def test_json_writes_null_for_an_undefined_point(self):
+        def broken(signal, scene):
+            raise RuntimeError("boom")
+
+        report = resolution_sweep(
+            {"broken": broken, "periodogram": make_method("periodogram", 256)},
+            separations=[0.5, 1.0], trials=3, n=32, n_grid=256, seed=2,
+        )
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        payload = json.loads(report.to_json(), parse_constant=reject)
+        assert payload["curves"]["broken"] == [None, None]
+        assert payload["curves"]["periodogram"] == report.curves["periodogram"]
+        assert all(np.isnan(y) for y in report.curves["broken"])
+
     def test_sidelobe_grid_outputs(self):
         out = sidelobe_experiment(
             {"periodogram": make_method("periodogram", 128)},

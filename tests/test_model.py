@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spectralsr.cvops import CTensor
 from spectralsr.model import (
     CheckpointError,
     ModelConfig,
@@ -11,6 +13,7 @@ from spectralsr.model import (
     load_checkpoint,
     micro_config,
     model_forward,
+    model_forward_tensor,
     param_count,
     save_checkpoint,
     toy_config,
@@ -115,6 +118,36 @@ class TestForward:
         store = make_store()
         with pytest.raises(ValueError, match="length"):
             model_forward(np.ones(5, dtype=complex), store)
+
+
+class TestInferenceWithoutTape:
+    @pytest.mark.parametrize("variant", ["swinfreq", "cvswinfreq"])
+    def test_no_parameter_gradient_and_same_output_as_taped_graph(self, variant):
+        cfg = micro_config(variant)
+        store = init_model(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(4)
+        sig = rng.normal(size=(3, cfg.n)) + 1j * rng.normal(size=(3, cfg.n))
+        out = model_forward(sig, store)
+        assert all(t.grad is None for t in store.params.values())
+        normalized = np.stack([minmax_normalize(row) for row in sig])
+        taped = model_forward_tensor(CTensor.from_numpy(normalized), store)
+        assert taped._parents
+        assert np.array_equal(out, taped.data)
+
+    def test_default_cvswinfreq_batch_memory(self):
+        # the taped graph of this call holds about 700 MiB of arrays
+        cfg = default_config("cvswinfreq")
+        store = init_model(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        sig = rng.normal(size=(4, cfg.n)) + 1j * rng.normal(size=(4, cfg.n))
+        tracemalloc.start()
+        try:
+            out = model_forward(sig, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, cfg.n_sr)
+        assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestCheckpoint:
