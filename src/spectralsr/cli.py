@@ -9,7 +9,6 @@ import sys
 import numpy as np
 
 from . import evaluate as ev
-from .classical import music, omp, periodogram
 from .model import (
     CheckpointError,
     ModelConfig,
@@ -39,6 +38,14 @@ class ConfigError(Exception):
     pass
 
 
+def _snr_db(text):
+    """An SNR in dB: any float but NaN (``inf`` means noiseless)."""
+    value = float(text)
+    if np.isnan(value):
+        raise argparse.ArgumentTypeError("SNR must be a number or inf, not nan")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spectralsr",
@@ -53,7 +60,7 @@ def _build_parser():
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--signal-dim", type=int, default=64)
     gen.add_argument("--n-sr", type=int, default=4096)
-    gen.add_argument("--snr", type=float, default=20.0, help="SNR in dB (inf = noiseless)")
+    gen.add_argument("--snr", type=_snr_db, default=20.0, help="SNR in dB (inf = noiseless)")
     gen.add_argument("--l-min", type=int, default=1)
     gen.add_argument("--l-max", type=int, default=10)
 
@@ -65,15 +72,14 @@ def _build_parser():
 
     ev_p = sub.add_parser("eval", help="run one method over a dataset, report PSNR")
     ev_p.add_argument("--data", required=True)
-    ev_p.add_argument("--method", default="periodogram",
-                      choices=["periodogram", "music", "omp", "model"])
+    ev_p.add_argument("--method", default="periodogram", choices=ev.METHODS)
     ev_p.add_argument("--checkpoint", default=None)
     ev_p.add_argument("--out", default=None, help="JSON report path (default stdout)")
     ev_p.add_argument("--seed", type=int, default=0)
 
     cmp_p = sub.add_parser("compare", help="multi-method Monte Carlo sweeps")
     cmp_p.add_argument("--methods", required=True,
-                       help="comma-separated: periodogram,music,omp,model")
+                       help="comma-separated: " + ",".join(ev.METHODS))
     cmp_p.add_argument("--experiment", required=True,
                        choices=["resolution", "psnr", "sidelobe"])
     cmp_p.add_argument("--checkpoint", default=None)
@@ -82,10 +88,10 @@ def _build_parser():
     cmp_p.add_argument("--trials", type=int, default=200)
     cmp_p.add_argument("--n", type=int, default=64)
     cmp_p.add_argument("--n-grid", type=int, default=4096)
-    cmp_p.add_argument("--snr", type=float, default=20.0)
+    cmp_p.add_argument("--snr", type=_snr_db, default=20.0)
 
     base = sub.add_parser("baseline", help="run a classical estimator on a signal file")
-    base.add_argument("--method", required=True, choices=["periodogram", "music", "omp"])
+    base.add_argument("--method", required=True, choices=ev.CLASSICAL_METHODS)
     base.add_argument("--data", required=True, help="signal records file")
     base.add_argument("--out", required=True, help="spectrum records file")
     base.add_argument("--n-grid", type=int, default=4096)
@@ -179,7 +185,7 @@ def _cmd_eval(args):
         "mean_psnr_db": float(np.mean(values)),
         "min_psnr_db": float(np.min(values)),
         "max_psnr_db": float(np.max(values)),
-        "data_meta": data.meta,
+        "data_meta": ev.json_safe(data.meta),
         "seed": args.seed,
         "version": 1,
     }
@@ -227,17 +233,7 @@ def _cmd_compare(args):
 
 def _cmd_baseline(args):
     signals = read_records(args.data)
-    spectra = []
-    for signal in signals:
-        if args.method == "periodogram":
-            spectra.append(periodogram(signal, n_fft=args.n_grid))
-        elif args.method == "music":
-            spectra.append(
-                music(signal, order=args.order, m=len(signal) // 2, n_grid=args.n_grid)
-            )
-        else:
-            result = omp(signal, args.n_grid, sparsity=args.order)
-            spectra.append(ev.omp_spectrum(result, args.n_grid))
+    spectra = [ev.classical_spectrum(args.method, s, args.order, args.n_grid) for s in signals]
     write_records(args.out, np.stack(spectra))
     print(f"wrote {len(spectra)} spectra to {args.out}")
     return 0

@@ -66,6 +66,12 @@ class CTensor:
     def roll(self, shift, axis):
         return CTensor(self.re.roll(shift, axis), self.im.roll(shift, axis))
 
+    def gather_last(self, idx):
+        return CTensor(self.re.gather_last(idx), self.im.gather_last(idx))
+
+    def __matmul__(self, other):
+        return cmatmul(self, other)
+
     def modulus(self, eps=SOFTMAX_EPS):
         return modulus(self.re, self.im, eps=eps)
 
@@ -85,9 +91,7 @@ def cmatmul(x, w):
 def cv_linear(x, weight, bias=None):
     """y = x W + b for complex x [..., in], W [in, out], b [out]."""
     y = cmatmul(x, weight)
-    if bias is not None:
-        y = CTensor(y.re + bias.re, y.im + bias.im)
-    return y
+    return y if bias is None else y + bias
 
 
 def cv_conv1d(x, kernel, stride=1, padding=0):
@@ -261,22 +265,16 @@ def _rpe_index(window):
     return rel + window - 1
 
 
-def _expand_rpe(rpe, window):
-    idx = _rpe_index(window)
-    if isinstance(rpe, CTensor):
-        return CTensor(rpe.re.gather_last(idx), rpe.im.gather_last(idx))
-    return rpe.gather_last(idx)
-
-
 def wmsa(x, params, window, shift=0, return_weights=False):
     """Windowed multi-head self-attention with optional shifted partition.
 
-    ``x`` is [..., M, C], real (``Tensor``) or complex (``CTensor``).
+    ``x`` is [..., M, C], real (``Tensor``) or complex (``CTensor``), and
+    ``params`` holds tensors of the same kind.  The two paths differ only
+    in the softmax: the complex one weights by modulus and keeps phases.
     When ``shift`` > 0 the sequence is cyclically rotated by ``-shift``
     before partitioning and cross-segment pairs are masked out; the
     rotation is undone on the way out.
     """
-    is_complex = isinstance(x, CTensor)
     m, c = x.shape[-2], x.shape[-1]
     h, d = params.heads, params.dim
     if shift:
@@ -287,84 +285,51 @@ def wmsa(x, params, window, shift=0, return_weights=False):
     # insert a head axis so [h, C, d] projections broadcast over windows
     wide = win.reshape(*lead, 1, nw, window, c)
 
-    if is_complex:
-        wq = CTensor(params.wq.re.reshape(h, 1, c, d), params.wq.im.reshape(h, 1, c, d))
-        wk = CTensor(params.wk.re.reshape(h, 1, c, d), params.wk.im.reshape(h, 1, c, d))
-        wv = CTensor(params.wv.re.reshape(h, 1, c, d), params.wv.im.reshape(h, 1, c, d))
-        q = cmatmul(wide, wq) + CTensor(params.bq.re.reshape(h, 1, 1, d), params.bq.im.reshape(h, 1, 1, d))
-        k = cmatmul(wide, wk) + CTensor(params.bk.re.reshape(h, 1, 1, d), params.bk.im.reshape(h, 1, 1, d))
-        v = cmatmul(wide, wv) + CTensor(params.bv.re.reshape(h, 1, 1, d), params.bv.im.reshape(h, 1, 1, d))
-        # plain (not conjugate) transpose of K
-        logits = cmatmul(q, k.swap_last2()) * (1.0 / np.sqrt(d))
-        bias = _expand_rpe(params.rpe, window)
-        logits = CTensor(
-            logits.re + bias.re.reshape(h, 1, window, window),
-            logits.im + bias.im.reshape(h, 1, window, window),
-        )
-        mask = shift_attention_mask(m, window, shift)
-        attn = cv_softmax(logits, axis=-1, modulus_bias=mask[None])
-        ctx = cmatmul(attn, v)  # [..., h, nw, W, d]
-        perm = tuple(range(ctx.ndim - 4)) + (
-            ctx.ndim - 3, ctx.ndim - 2, ctx.ndim - 4, ctx.ndim - 1,
-        )
-        ctx = ctx.transpose(perm).reshape(*lead, nw, window, h * d)
-        out = cv_linear(ctx, params.out_w, params.out_b)
-        weights = attn
+    q = wide @ params.wq.reshape(h, 1, c, d) + params.bq.reshape(h, 1, 1, d)
+    k = wide @ params.wk.reshape(h, 1, c, d)
+    if params.bk is not None:
+        k = k + params.bk.reshape(h, 1, 1, d)
+    v = wide @ params.wv.reshape(h, 1, c, d) + params.bv.reshape(h, 1, 1, d)
+    # plain (not conjugate) transpose of K on the complex path
+    logits = (q @ k.swap_last2()) * (1.0 / np.sqrt(d))
+    logits = logits + params.rpe.gather_last(_rpe_index(window)).reshape(h, 1, window, window)
+    mask = shift_attention_mask(m, window, shift)[None]
+    if isinstance(logits, CTensor):
+        attn = cv_softmax(logits, axis=-1, modulus_bias=mask)
     else:
-        wq = params.wq.reshape(h, 1, c, d)
-        wk = params.wk.reshape(h, 1, c, d)
-        wv = params.wv.reshape(h, 1, c, d)
-        q = wide @ wq + params.bq.reshape(h, 1, 1, d)
-        k = wide @ wk
-        if params.bk is not None:
-            k = k + params.bk.reshape(h, 1, 1, d)
-        v = wide @ wv + params.bv.reshape(h, 1, 1, d)
-        logits = (q @ k.swap_last2()) * (1.0 / np.sqrt(d))
-        bias = _expand_rpe(params.rpe, window)
-        logits = logits + bias.reshape(h, 1, window, window)
-        mask = shift_attention_mask(m, window, shift)
-        logits = logits + mask[None]
-        attn = softmax(logits, axis=-1)
-        ctx = attn @ v
-        perm = tuple(range(ctx.ndim - 4)) + (
-            ctx.ndim - 3, ctx.ndim - 2, ctx.ndim - 4, ctx.ndim - 1,
-        )
-        ctx = ctx.transpose(perm).reshape(*lead, nw, window, h * d)
-        out = ctx @ params.out_w + params.out_b
-        weights = attn
-    out = window_reverse(out, window)
+        attn = softmax(logits + mask, axis=-1)
+    ctx = attn @ v  # [..., h, nw, W, d]
+    perm = tuple(range(ctx.ndim - 4)) + (ctx.ndim - 3, ctx.ndim - 2, ctx.ndim - 4, ctx.ndim - 1)
+    ctx = ctx.transpose(perm).reshape(*lead, nw, window, h * d)
+    out = window_reverse(ctx @ params.out_w + params.out_b, window)
     if shift:
         out = cyclic_shift(out, shift)
     if return_weights:
-        return out, weights
+        return out, attn
     return out
 
 
 def mlp(x, w1, b1, w2, b2, activation=None):
     """Two linear layers with a nonlinearity in between.
 
-    Complex inputs use ``activation`` (a CTensor -> CTensor callable,
-    typically CPReLU); real inputs default to GELU.
+    ``activation`` defaults to GELU, which is real-only; complex inputs
+    pass a CTensor -> CTensor callable (typically CPReLU).
     """
-    if isinstance(x, CTensor):
-        hidden = cv_linear(x, w1, b1)
-        hidden = activation(hidden)
-        return cv_linear(hidden, w2, b2)
     hidden = x @ w1 + b1
     hidden = gelu(hidden) if activation is None else activation(hidden)
     return hidden @ w2 + b2
 
 
-def init_params(shape, kind, rng):
+def init_params(shape, kind, rng, fan_in):
     """Draw an initial weight tensor.
 
     ``cv_kaiming_rayleigh``: complex weights with Rayleigh modulus
     (scale 1/sqrt(fan_in)) and uniform phase, returned as a CTensor.
     ``real_kaiming``: zero-mean normal with std 1/sqrt(fan_in).
-    fan_in is the second-to-last dimension (or the only one for vectors).
+    ``fan_in`` is given by the caller: for a convolution kernel it is
+    input channels times taps, which no rule on the shape alone gives.
     """
     shape = tuple(shape)
-    fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
     if kind == "cv_kaiming_rayleigh":
         sigma = 1.0 / np.sqrt(fan_in)
         mod = sigma * np.sqrt(-2.0 * np.log(rng.uniform(1e-300, 1.0, size=shape)))

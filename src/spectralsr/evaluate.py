@@ -28,6 +28,10 @@ from .signals import (
 
 PSNR_CAP_DB = 150.0
 
+# estimators that take only a signal and a model order
+CLASSICAL_METHODS = ("periodogram", "music", "omp")
+METHODS = CLASSICAL_METHODS + ("model",)
+
 
 def psnr(estimate, target):
     """10 log10(max(target)^2 / MSE), capped at 150 dB."""
@@ -78,24 +82,30 @@ def omp_spectrum(result, n_grid):
     return out
 
 
+def classical_spectrum(name, signal, order, n_grid):
+    """Spectrum of ``signal`` on ``n_grid`` bins by one of ``CLASSICAL_METHODS``.
+
+    ``order`` is the component count music and omp assume; the
+    periodogram ignores it.
+    """
+    if name == "periodogram":
+        return periodogram(signal, n_fft=n_grid)
+    if name == "music":
+        return music(signal, order=order, m=len(signal) // 2, n_grid=n_grid)
+    if name == "omp":
+        return omp_spectrum(omp(signal, n_grid, sparsity=order), n_grid)
+    raise ValueError(f"unknown method {name!r}")
+
+
 def make_method(name, n_grid, checkpoint=None):
     """Build a ComplexSignal -> RealSpectrum callable.
 
-    ``name`` is one of periodogram, music, omp, or model (which needs a
-    loaded parameter store as ``checkpoint``).  music and omp take the
-    true component count as a priori knowledge, so the callable signature
-    is (signal, scene).
+    ``name`` is one of ``METHODS``; model needs a loaded parameter store
+    as ``checkpoint``.  music and omp take the true component count as a
+    priori knowledge, so the callable signature is (signal, scene).
     """
-    if name == "periodogram":
-        return lambda signal, scene: periodogram(signal, n_fft=n_grid)
-    if name == "music":
-        return lambda signal, scene: music(
-            signal, order=scene.count, m=len(signal) // 2, n_grid=n_grid
-        )
-    if name == "omp":
-        return lambda signal, scene: omp_spectrum(
-            omp(signal, n_grid, sparsity=scene.count), n_grid
-        )
+    if name in CLASSICAL_METHODS:
+        return lambda signal, scene: classical_spectrum(name, signal, scene.count, n_grid)
     if name == "model":
         if checkpoint is None:
             raise ValueError("the model method needs a loaded checkpoint")
@@ -103,6 +113,23 @@ def make_method(name, n_grid, checkpoint=None):
 
         return lambda signal, scene: model_forward(signal, checkpoint)
     raise ValueError(f"unknown method {name!r}")
+
+
+def json_safe(value):
+    """``value`` with every infinite float, also inside dicts and lists,
+    replaced by the string ``"inf"`` or ``"-inf"``, which ``float()`` and
+    ``--snr`` parse back, so strict JSON parsers accept the dump.
+
+    NaN is left as it is: it is never a valid setting, so the dump keeps
+    the token that a strict parser rejects.
+    """
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, float) and np.isinf(value):
+        return str(value)
+    return value
 
 
 @dataclass
@@ -119,7 +146,8 @@ class ExperimentReport:
 
     def to_json(self):
         """Strict JSON: an undefined curve point (every trial of the method
-        failed, NaN in ``curves``) is written as ``null``."""
+        failed, NaN in ``curves``) is written as ``null``, an infinite
+        config value (``snr_db`` of a noiseless run) as a string."""
         payload = {
             "experiment": self.experiment,
             "x_values": list(self.x_values),
@@ -127,7 +155,7 @@ class ExperimentReport:
                 k: [None if np.isnan(y) else y for y in v] for k, v in sorted(self.curves.items())
             },
             "trial_counts": list(self.trial_counts),
-            "config": self.config,
+            "config": json_safe(self.config),
             "seed": self.seed,
             "errors": dict(sorted(self.errors.items())),
             "version": 1,

@@ -25,6 +25,7 @@ from .cvops import (
     cv_conv1d,
     cv_layer_norm,
     cv_linear,
+    init_params,
     layer_norm,
     mlp,
     wmsa,
@@ -110,8 +111,8 @@ def toy_config(variant="swinfreq"):
 class ParameterStore:
     """Named flat collection of real learnable tensors.
 
-    Complex parameters are stored as ``<name>.re`` / ``<name>.im`` pairs,
-    so the scalar count already counts a complex weight as two.
+    ``add`` stores a complex parameter as a ``<name>.re`` / ``<name>.im``
+    pair, so the scalar count already counts a complex weight as two.
     """
 
     def __init__(self, config, params=None, step=0, opt_state=None):
@@ -120,17 +121,17 @@ class ParameterStore:
         self.step = step
         self.opt_state = opt_state or {}
 
-    def add_real(self, name, tensor):
-        self.params[name] = tensor
+    def add(self, name, tensor):
+        if isinstance(tensor, CTensor):
+            self.params[name + ".re"] = tensor.re
+            self.params[name + ".im"] = tensor.im
+        else:
+            self.params[name] = tensor
 
-    def add_complex(self, name, ct):
-        self.params[name + ".re"] = ct.re
-        self.params[name + ".im"] = ct.im
-
-    def real(self, name):
-        return self.params[name]
-
-    def complex(self, name):
+    def get(self, name):
+        """The real tensor ``name`` if stored, else the complex pair under it."""
+        if name in self.params:
+            return self.params[name]
         return CTensor(self.params[name + ".re"], self.params[name + ".im"])
 
     def count(self):
@@ -142,20 +143,6 @@ class ParameterStore:
 
     def names(self):
         return sorted(self.params)
-
-
-def _rayleigh(rng, shape, fan_in):
-    sigma = 1.0 / np.sqrt(fan_in)
-    mod = sigma * np.sqrt(-2.0 * np.log(rng.uniform(1e-300, 1.0, size=shape)))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    return CTensor(
-        Tensor(mod * np.cos(phase), requires_grad=True),
-        Tensor(mod * np.sin(phase), requires_grad=True),
-    )
-
-
-def _normal(rng, shape, fan_in):
-    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape), requires_grad=True)
 
 
 def _zeros(shape):
@@ -170,17 +157,16 @@ def _const(shape, value):
     return Tensor(np.full(shape, float(value)), requires_grad=True)
 
 
+# layer-norm affine names (ComplexAffine's field order) and initial values, by is_complex
+_NORM_INIT = {
+    False: {"gamma": 1.0, "beta": 0.0},
+    True: {"g_rr": 1.0, "g_ri": 0.0, "g_ir": 0.0, "g_ii": 1.0, "b_re": 0.0, "b_im": 0.0},
+}
+
+
 def _add_norm(store, prefix, c, is_complex):
-    if is_complex:
-        store.add_real(prefix + ".g_rr", _const(c, 1.0))
-        store.add_real(prefix + ".g_ri", _zeros(c))
-        store.add_real(prefix + ".g_ir", _zeros(c))
-        store.add_real(prefix + ".g_ii", _const(c, 1.0))
-        store.add_real(prefix + ".b_re", _zeros(c))
-        store.add_real(prefix + ".b_im", _zeros(c))
-    else:
-        store.add_real(prefix + ".gamma", _const(c, 1.0))
-        store.add_real(prefix + ".beta", _zeros(c))
+    for name, value in _NORM_INIT[is_complex].items():
+        store.add(f"{prefix}.{name}", _const(c, value))
 
 
 def init_model(cfg, rng):
@@ -191,18 +177,19 @@ def init_model(cfg, rng):
     hidden = cfg.mlp_ratio * c
     cx = cfg.is_complex
 
-    store.add_complex("mf.linear.w", _rayleigh(rng, (cfg.n, cfg.inner * cfg.mf_mid), cfg.n))
-    store.add_complex("mf.linear.b", _czeros(cfg.inner * cfg.mf_mid))
-    store.add_complex("mf.conv.w", _rayleigh(rng, (c, cfg.mf_mid, 3), cfg.mf_mid * 3))
-    store.add_complex("mf.conv.b", _czeros(c))
+    add = store.add
+    rayleigh = "cv_kaiming_rayleigh"
+    add("mf.linear.w", init_params((cfg.n, cfg.inner * cfg.mf_mid), rayleigh, rng, cfg.n))
+    add("mf.linear.b", _czeros(cfg.inner * cfg.mf_mid))
+    add("mf.conv.w", init_params((c, cfg.mf_mid, 3), rayleigh, rng, cfg.mf_mid * 3))
+    add("mf.conv.b", _czeros(c))
+
+    kind = rayleigh if cx else "real_kaiming"
+    bias = _czeros if cx else _zeros
 
     def weight(shape, fan_in):
-        return _rayleigh(rng, shape, fan_in) if cx else _normal(rng, shape, fan_in)
+        return init_params(shape, kind, rng, fan_in)
 
-    def bias(shape):
-        return _czeros(shape) if cx else _zeros(shape)
-
-    add = store.add_complex if cx else store.add_real
     for i in range(cfg.blocks):
         for k in range(cfg.depth):
             p = f"blocks.{i}.layers.{k}"
@@ -222,13 +209,13 @@ def init_model(cfg, rng):
             add(p + ".mlp.w2", weight((hidden, c), hidden))
             add(p + ".mlp.b2", bias(c))
             if cx:
-                store.add_real(p + ".mlp.slope_re", _const((), 0.25))
-                store.add_real(p + ".mlp.slope_im", _const((), 0.25))
+                add(p + ".mlp.slope_re", _const((), 0.25))
+                add(p + ".mlp.slope_im", _const((), 0.25))
         add(f"blocks.{i}.conv.w", weight((c, c, 3), c * 3))
         add(f"blocks.{i}.conv.b", bias(c))
 
-    store.add_real("head.w", _normal(rng, (c, 1, cfg.head_kernel), c * cfg.head_kernel))
-    store.add_real("head.b", _zeros(1))
+    add("head.w", init_params((c, 1, cfg.head_kernel), "real_kaiming", rng, c * cfg.head_kernel))
+    add("head.b", _zeros(1))
     return store
 
 
@@ -243,40 +230,33 @@ def param_count(cfg):
 def mf_forward(x, store):
     """Complex front end: linear N -> M*mid, reshape, conv to C channels.
 
-    Returns [B, M, C]; real (modulus) for the swinfreq variant.
+    ``x`` is a [B, N] ``CTensor``.  Returns [B, M, C]; real (modulus) for
+    the swinfreq variant.
     """
     cfg = store.config
+    if x.ndim != 2:
+        raise ValueError(f"expected a [batch, {cfg.n}] input, got shape {x.shape}")
     if x.shape[-1] != cfg.n:
         raise ValueError(f"expected input length {cfg.n}, got {x.shape[-1]}")
-    y = cv_linear(x, store.complex("mf.linear.w"), store.complex("mf.linear.b"))
-    batch = y.shape[:-1]
-    y = y.reshape(*batch, cfg.mf_mid, cfg.inner)
-    if y.ndim == 2:
-        y = y.reshape(1, cfg.mf_mid, cfg.inner)
-    y = cv_conv1d(y, store.complex("mf.conv.w"), padding=1)
-    bias = store.complex("mf.conv.b")
-    y = CTensor(y.re + bias.re.reshape(1, cfg.channels, 1), y.im + bias.im.reshape(1, cfg.channels, 1))
+    y = cv_linear(x, store.get("mf.linear.w"), store.get("mf.linear.b"))
+    y = y.reshape(x.shape[0], cfg.mf_mid, cfg.inner)
+    y = _channel_conv(y, store.get("mf.conv.w"), store.get("mf.conv.b"))
     y = y.transpose((0, 2, 1))  # [B, M, C]
-    if not batch:
-        y = y.reshape(cfg.inner, cfg.channels)
     if cfg.is_complex:
         return y
     return y.modulus()
 
 
-def _norm(x, store, prefix, is_complex):
-    if is_complex:
-        affine = ComplexAffine(
-            store.real(prefix + ".g_rr"), store.real(prefix + ".g_ri"),
-            store.real(prefix + ".g_ir"), store.real(prefix + ".g_ii"),
-            store.real(prefix + ".b_re"), store.real(prefix + ".b_im"),
-        )
-        return cv_layer_norm(x, affine)
-    return layer_norm(x, store.real(prefix + ".gamma"), store.real(prefix + ".beta"))
+def _norm(x, store, prefix):
+    cx = isinstance(x, CTensor)
+    affine = [store.get(f"{prefix}.{name}") for name in _NORM_INIT[cx]]
+    if cx:
+        return cv_layer_norm(x, ComplexAffine(*affine))
+    return layer_norm(x, *affine)
 
 
 def _attn_params(store, prefix, cfg):
-    get = store.complex if cfg.is_complex else store.real
+    get = store.get
     return AttentionParams(
         wq=get(prefix + ".wq"), wk=get(prefix + ".wk"), wv=get(prefix + ".wv"),
         bq=get(prefix + ".bq"), bk=get(prefix + ".bk") if cfg.is_complex else None,
@@ -289,36 +269,23 @@ def _attn_params(store, prefix, cfg):
 def sstl_forward(g, store, prefix, shift):
     """One (CV)SSTL: pre-norm attention and MLP, both with residuals."""
     cfg = store.config
-    cx = cfg.is_complex
-    attn = wmsa(_norm(g, store, prefix + ".ln1", cx), _attn_params(store, prefix + ".attn", cfg),
-                cfg.window, shift=shift)
-    g1 = attn + g
+    get = store.get
+    g1 = wmsa(_norm(g, store, prefix + ".ln1"), _attn_params(store, prefix + ".attn", cfg),
+              cfg.window, shift=shift) + g
     act = None
-    if cx:
-        sre, sim = store.real(prefix + ".mlp.slope_re"), store.real(prefix + ".mlp.slope_im")
+    if cfg.is_complex:
+        sre, sim = get(prefix + ".mlp.slope_re"), get(prefix + ".mlp.slope_im")
         act = lambda z: cprelu(z, sre, sim)
-    get = store.complex if cx else store.real
-    out = mlp(_norm(g1, store, prefix + ".ln2", cx),
+    out = mlp(_norm(g1, store, prefix + ".ln2"),
               get(prefix + ".mlp.w1"), get(prefix + ".mlp.b1"),
               get(prefix + ".mlp.w2"), get(prefix + ".mlp.b2"), activation=act)
     return out + g1
 
 
-def _channel_conv(x, weight, bias, is_complex):
-    """Shape-preserving 3-tap convolution along the sequence axis of [B, M, C]."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape(1, *x.shape)
-    y = x.transpose((0, 2, 1))
-    if is_complex:
-        y = cv_conv1d(y, weight, padding=1)
-        y = CTensor(y.re + bias.re.reshape(1, -1, 1), y.im + bias.im.reshape(1, -1, 1))
-    else:
-        y = conv1d(y, weight, padding=1) + bias.reshape(1, -1, 1)
-    y = y.transpose((0, 2, 1))
-    if squeeze:
-        y = y.reshape(*y.shape[1:])
-    return y
+def _channel_conv(x, weight, bias):
+    """Shape-preserving 3-tap convolution of [B, Cin, M] to [B, Cout, M] plus a bias."""
+    conv = cv_conv1d if isinstance(x, CTensor) else conv1d
+    return conv(x, weight, padding=1) + bias.reshape(1, -1, 1)
 
 
 def sstb_forward(f, store, block_index):
@@ -332,9 +299,9 @@ def sstb_forward(f, store, block_index):
     for k in range(cfg.depth):
         shift = 0 if k % 2 == 0 else cfg.window // 2
         g = sstl_forward(g, store, f"blocks.{block_index}.layers.{k}", shift)
-    get = store.complex if cfg.is_complex else store.real
-    return _channel_conv(f + g, get(f"blocks.{block_index}.conv.w"),
-                         get(f"blocks.{block_index}.conv.b"), cfg.is_complex)
+    y = _channel_conv((f + g).transpose((0, 2, 1)), store.get(f"blocks.{block_index}.conv.w"),
+                      store.get(f"blocks.{block_index}.conv.b"))
+    return y.transpose((0, 2, 1))
 
 
 def sr_forward(f0, store):
@@ -346,18 +313,12 @@ def sr_forward(f0, store):
     head_in = f0 + f
     if cfg.is_complex:
         head_in = head_in.modulus()
-    squeeze = head_in.ndim == 2
-    if squeeze:
-        head_in = head_in.reshape(1, *head_in.shape)
     y = head_in.transpose((0, 2, 1))  # [B, C, M]
     crop = (cfg.head_kernel - cfg.stride) // 2
-    y = conv_transpose1d(y, store.real("head.w"), stride=cfg.stride, crop=crop)
-    y = y + store.real("head.b").reshape(1, 1, 1)
+    y = conv_transpose1d(y, store.get("head.w"), stride=cfg.stride, crop=crop)
+    y = y + store.get("head.b").reshape(1, 1, 1)
     y = y.relu()
-    y = y.reshape(y.shape[0], cfg.n_sr)
-    if squeeze:
-        y = y.reshape(cfg.n_sr)
-    return y
+    return y.reshape(y.shape[0], cfg.n_sr)
 
 
 def model_forward_tensor(x_ct, store):

@@ -168,9 +168,17 @@ def scenes_to_json(scenes, **meta):
 
 def scenes_from_json(text):
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("scene header is not a JSON object")
     if payload.get("version") != 1:
         raise ValueError("unsupported scene file version")
-    return [scene_from_dict(d) for d in payload["scenes"]], payload
+    if not isinstance(payload.get("scenes"), list):
+        raise ValueError("scene header has no 'scenes' list")
+    try:
+        scenes = [scene_from_dict(d) for d in payload["scenes"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed scene in header: {exc!r}") from exc
+    return scenes, payload
 
 
 def write_records(path, array):
@@ -245,7 +253,11 @@ def read_dataset(path):
         if fh.read(4) != DATASET_MAGIC:
             raise ValueError(f"{path}: not a dataset file (bad magic)")
         (json_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "scene header length"))
-        scenes, meta = scenes_from_json(_read_exact(fh, json_len, path, "scene header").decode())
+        header = _read_exact(fh, json_len, path, "scene header")
+        try:
+            scenes, meta = scenes_from_json(header.decode())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         count, length = struct.unpack("<II", _read_exact(fh, 8, path, "count/length header"))
         raw = fh.read()
     dtype = np.dtype(np.complex128).newbyteorder("<")

@@ -167,3 +167,51 @@ def test_eval_truncated_dataset_exits_1_with_one_line(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(cut) in err
+
+
+def strict_json(text):
+    """Parse ``text``, refusing the non-standard Infinity / NaN tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_compare_noiseless_config_is_strict_json(tmp_path):
+    prefix = tmp_path / "r"
+    assert run(["compare", "--methods", "periodogram", "--experiment", "resolution",
+                "--snr", "inf", "--trials", 2, "--n-grid", 256, "--out", prefix]) == 0
+    report = strict_json((tmp_path / "r.json").read_text())
+    assert report["config"]["snr_db"] == "inf"
+    assert float(report["config"]["snr_db"]) == np.inf
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--n", 1],
+    ["compare", "--methods", "periodogram", "--experiment", "resolution", "--trials", 1],
+])
+def test_nan_snr_is_a_usage_error(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--out", tmp_path / "x", "--snr", "nan"])
+    assert exc.value.code == 2
+    assert "not nan" in capsys.readouterr().err
+
+
+def test_eval_noiseless_data_meta_is_strict_json(tmp_path):
+    data, out = tmp_path / "d.bin", tmp_path / "e.json"
+    run(["generate", "--n", 2, "--out", data, "--snr", "inf",
+         "--signal-dim", 16, "--n-sr", 128])
+    assert run(["eval", "--data", data, "--out", out]) == 0
+    report = strict_json(out.read_text())
+    assert report["data_meta"]["snr_db"] == "inf"
+
+
+def test_eval_header_without_scenes_exits_1_with_one_line(tmp_path, capsys):
+    header = b'{"version": 1}'
+    data = tmp_path / "d.bin"
+    data.write_bytes(b"SSRD" + len(header).to_bytes(4, "little") + header
+                     + (0).to_bytes(4, "little") + (8).to_bytes(4, "little"))
+    assert run(["eval", "--data", data]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data) in err and "scenes" in err

@@ -445,14 +445,14 @@ class TestMlp:
 class TestInit:
     def test_rayleigh_second_moment(self):
         rng = np.random.default_rng(23)
-        w = init_params((100000,), "cv_kaiming_rayleigh", rng)
+        w = init_params((100000,), "cv_kaiming_rayleigh", rng, 100000)
         # fan_in = 100000 for a vector; rescale to the fan_in = 1 statement
         second = np.mean(np.abs(w.numpy()) ** 2) * 100000
         assert abs(second - 2.0) < 0.1
 
     def test_phase_uniform(self):
         rng = np.random.default_rng(24)
-        w = init_params((100000,), "cv_kaiming_rayleigh", rng)
+        w = init_params((100000,), "cv_kaiming_rayleigh", rng, 100000)
         phases = np.angle(w.numpy()) % (2 * np.pi)
         counts, _ = np.histogram(phases, bins=20, range=(0, 2 * np.pi))
         expected = len(phases) / 20
@@ -461,10 +461,10 @@ class TestInit:
         assert chi2 < 36.19
 
     def test_deterministic_under_seed(self):
-        a = init_params((4, 5), "cv_kaiming_rayleigh", np.random.default_rng(7))
-        b = init_params((4, 5), "cv_kaiming_rayleigh", np.random.default_rng(7))
+        a = init_params((4, 5), "cv_kaiming_rayleigh", np.random.default_rng(7), 4)
+        b = init_params((4, 5), "cv_kaiming_rayleigh", np.random.default_rng(7), 4)
         assert np.array_equal(a.numpy(), b.numpy())
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            init_params((2, 2), "xavier", np.random.default_rng(0))
+            init_params((2, 2), "xavier", np.random.default_rng(0), 2)

@@ -4,13 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spectralsr.autodiff import Tensor
 from spectralsr.cvops import CTensor
 from spectralsr.model import (
     CheckpointError,
     ModelConfig,
+    ParameterStore,
     default_config,
     init_model,
     load_checkpoint,
+    mf_forward,
     micro_config,
     model_forward,
     model_forward_tensor,
@@ -82,6 +85,20 @@ class TestInitAndCount:
         for name in res:
             assert name[:-3] + ".im" in store.params
 
+    def test_store_add_get_round_trip(self):
+        store = ParameterStore(micro_config())
+        real = Tensor(np.ones(3), requires_grad=True)
+        cplx = CTensor.from_numpy(np.array([1 + 2j, 3 - 1j]), requires_grad=True)
+        store.add("w", real)
+        store.add("z", cplx)
+        assert store.names() == ["w", "z.im", "z.re"]
+        assert store.get("w") is real
+        back = store.get("z")
+        assert isinstance(back, CTensor)
+        assert back.re is cplx.re and back.im is cplx.im
+        with pytest.raises(KeyError):
+            store.get("absent")
+
 
 class TestForward:
     @pytest.mark.parametrize("variant", ["swinfreq", "cvswinfreq"])
@@ -118,6 +135,14 @@ class TestForward:
         store = make_store()
         with pytest.raises(ValueError, match="length"):
             model_forward(np.ones(5, dtype=complex), store)
+
+    @pytest.mark.parametrize("fn", [mf_forward, model_forward_tensor])
+    def test_graph_rejects_unbatched_input(self, fn):
+        # the graph is batch-only; model_forward adds the batch axis
+        store = make_store()
+        x = CTensor.from_numpy(np.ones(store.config.n, dtype=complex))
+        with pytest.raises(ValueError, match="batch"):
+            fn(x, store)
 
 
 class TestInferenceWithoutTape:

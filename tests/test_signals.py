@@ -132,6 +132,17 @@ def test_scene_json_round_trip():
         assert np.allclose(a.amps, b.amps)
 
 
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"version": 1}',
+    '{"version": 1, "scenes": {}}',
+    '{"version": 1, "scenes": [{"freqs": [0.1]}]}',
+])
+def test_scene_json_rejects_malformed_header(text):
+    with pytest.raises(ValueError):
+        scenes_from_json(text)
+
+
 def test_records_round_trip_complex_and_real(tmp_path):
     rng = np.random.default_rng(4)
     cpx = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
