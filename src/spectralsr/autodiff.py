@@ -10,6 +10,13 @@ Each op builds its output with ``Tensor(data, _parents=..., _backward=...)``;
 the constructor records that tape entry only while grad mode is on, so
 inside :func:`no_grad` every intermediate is freed as soon as the next op
 has used it.
+
+An op's backward closure holds only its math: it hands each parent's
+gradient, in any shape that broadcasts to the parent's, to
+``parent._accumulate``.  That method alone skips parents that need no
+gradient, sums broadcast axes away and adds up the contributions.
+Gradients are never written in place, so one array may be handed to
+several parents, or kept as a ``.grad``, without copying.
 """
 
 from __future__ import annotations
@@ -86,9 +93,23 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, grad):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        """Add ``grad``, in any shape that broadcasts to this tensor's, to ``.grad``.
+
+        A later gradient is added out of place.  The first one is kept by
+        reference when its memory layout matches the data's, else copied
+        into an array laid out like the data, so downstream BLAS calls see
+        the same strides either way.
+        """
+        if not self.requires_grad:
+            return
+        grad = _unbroadcast(grad, self.shape)
+        if self.grad is not None:
+            self.grad = self.grad + grad
+        elif grad.strides == self.data.strides:
+            self.grad = grad
+        else:
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = grad
 
     def zero_grad(self):
         self.grad = None
@@ -140,10 +161,8 @@ class Tensor:
         other = Tensor._wrap(other)
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
+            self._accumulate(g)
+            other._accumulate(g)
 
         return Tensor(self.data + other.data, _parents=(self, other), _backward=back)
 
@@ -151,8 +170,7 @@ class Tensor:
 
     def __neg__(self):
         def back(g):
-            if self.requires_grad:
-                self._accumulate(-g)
+            self._accumulate(-g)
 
         return Tensor(-self.data, _parents=(self,), _backward=back)
 
@@ -166,10 +184,8 @@ class Tensor:
         other = Tensor._wrap(other)
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
+            self._accumulate(g * other.data)
+            other._accumulate(g * self.data)
 
         return Tensor(self.data * other.data, _parents=(self, other), _backward=back)
 
@@ -179,10 +195,8 @@ class Tensor:
         other = Tensor._wrap(other)
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g * self.data / other.data**2, other.shape))
+            self._accumulate(g / other.data)
+            other._accumulate(-g * self.data / other.data**2)
 
         return Tensor(self.data / other.data, _parents=(self, other), _backward=back)
 
@@ -193,8 +207,7 @@ class Tensor:
         p = float(p)
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g * p * self.data ** (p - 1.0))
+            self._accumulate(g * p * self.data ** (p - 1.0))
 
         return Tensor(self.data**p, _parents=(self,), _backward=back)
 
@@ -204,15 +217,13 @@ class Tensor:
         e = np.exp(self.data)
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g * e)
+            self._accumulate(g * e)
 
         return Tensor(e, _parents=(self,), _backward=back)
 
     def log(self):
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
+            self._accumulate(g / self.data)
 
         return Tensor(np.log(self.data), _parents=(self,), _backward=back)
 
@@ -221,30 +232,25 @@ class Tensor:
         root = np.sqrt(self.data)
 
         def back(g):
-            if self.requires_grad:
-                denom = 2.0 * np.maximum(root, eps) if eps else 2.0 * root
-                self._accumulate(g / denom)
+            self._accumulate(g / (2.0 * np.maximum(root, eps) if eps else 2.0 * root))
 
         return Tensor(root, _parents=(self,), _backward=back)
 
     def erf(self):
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g * (2.0 / np.sqrt(np.pi)) * np.exp(-self.data**2))
+            self._accumulate(g * (2.0 / np.sqrt(np.pi)) * np.exp(-self.data**2))
 
         return Tensor(_erf(self.data), _parents=(self,), _backward=back)
 
     def relu(self):
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > 0.0))
+            self._accumulate(g * (self.data > 0.0))
 
         return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _backward=back)
 
     def clamp_min(self, lo):
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data >= lo))
+            self._accumulate(g * (self.data >= lo))
 
         return Tensor(np.maximum(self.data, lo), _parents=(self,), _backward=back)
 
@@ -252,15 +258,9 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         def back(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                g = np.expand_dims(g, axes)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _backward=back)
 
@@ -279,8 +279,7 @@ class Tensor:
             shape = tuple(shape[0])
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.shape))
+            self._accumulate(g.reshape(self.shape))
 
         return Tensor(self.data.reshape(shape), _parents=(self,), _backward=back)
 
@@ -289,8 +288,7 @@ class Tensor:
         inv = tuple(np.argsort(axes))
 
         def back(g):
-            if self.requires_grad:
-                self._accumulate(g.transpose(inv))
+            self._accumulate(g.transpose(inv))
 
         return Tensor(self.data.transpose(axes), _parents=(self,), _backward=back)
 
@@ -300,17 +298,15 @@ class Tensor:
 
     def roll(self, shift, axis):
         def back(g):
-            if self.requires_grad:
-                self._accumulate(np.roll(g, -shift, axis=axis))
+            self._accumulate(np.roll(g, -shift, axis=axis))
 
         return Tensor(np.roll(self.data, shift, axis=axis), _parents=(self,), _backward=back)
 
     def __getitem__(self, idx):
         def back(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                full[idx] += g
-                self._accumulate(full)
+            full = np.zeros_like(self.data)
+            full[idx] += g
+            self._accumulate(full)
 
         return Tensor(self.data[idx], _parents=(self,), _backward=back)
 
@@ -319,8 +315,6 @@ class Tensor:
         idx = np.asarray(idx)
 
         def back(g):
-            if not self.requires_grad:
-                return
             full = np.zeros_like(self.data)
             flat = full.reshape(-1, self.shape[-1])
             rows = np.arange(flat.shape[0])[:, None]
@@ -336,12 +330,8 @@ class Tensor:
         other = Tensor._wrap(other)
 
         def back(g):
-            if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(_unbroadcast(gb, other.shape))
+            self._accumulate(g @ np.swapaxes(other.data, -1, -2))
+            other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
 
         return Tensor(self.data @ other.data, _parents=(self, other), _backward=back)
 
@@ -353,10 +343,8 @@ def where(mask, a, b):
     b = Tensor._wrap(b)
 
     def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.where(mask, g, 0.0), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.where(mask, 0.0, g), b.shape))
+        a._accumulate(np.where(mask, g, 0.0))
+        b._accumulate(np.where(mask, 0.0, g))
 
     return Tensor(np.where(mask, a.data, b.data), _parents=(a, b), _backward=back)
 
@@ -374,10 +362,8 @@ def modulus(re, im, eps=1e-12):
     denom = np.maximum(m, eps)
 
     def back(g):
-        if re.requires_grad:
-            re._accumulate(g * re.data / denom)
-        if im.requires_grad:
-            im._accumulate(g * im.data / denom)
+        re._accumulate(g * re.data / denom)
+        im._accumulate(g * im.data / denom)
 
     return Tensor(m, _parents=(re, im), _backward=back)
 
@@ -397,17 +383,13 @@ def conv1d(x, w, stride=1, padding=0):
     patches = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
 
     def back(g):
-        if w.requires_grad:
-            w._accumulate(np.einsum("bom,bcmk->ock", g, patches, optimize=True))
-        if x.requires_grad:
-            gx = np.zeros_like(xp)
-            for t in range(k):
-                gx[:, :, t : t + stride * m_out : stride] += np.einsum(
-                    "bom,oc->bcm", g, wd[:, :, t], optimize=True
-                )
-            if padding:
-                gx = gx[:, :, padding:-padding]
-            x._accumulate(gx)
+        w._accumulate(np.einsum("bom,bcmk->ock", g, patches, optimize=True))
+        gx = np.zeros_like(xp)
+        for t in range(k):
+            gx[:, :, t : t + stride * m_out : stride] += np.einsum(
+                "bom,oc->bcm", g, wd[:, :, t], optimize=True
+            )
+        x._accumulate(gx[:, :, padding : gx.shape[2] - padding])
 
     data = np.einsum("bcmk,ock->bom", patches, wd, optimize=True)
     return Tensor(data, _parents=(x, w), _backward=back)
@@ -431,25 +413,16 @@ def conv_transpose1d(x, w, stride, crop=0):
     data = full[:, :, crop : full.shape[2] - crop] if crop else full
 
     def back(g):
-        gf = np.zeros_like(full)
+        gf = g
         if crop:
+            gf = np.zeros_like(full)
             gf[:, :, crop : full.shape[2] - crop] = g
-        else:
-            gf = g
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for t in range(k):
-                gx += np.einsum(
-                    "bom,co->bcm", gf[:, :, t : t + stride * m : stride], wd[:, :, t],
-                    optimize=True,
-                )
-            x._accumulate(gx)
-        if w.requires_grad:
-            gw = np.zeros_like(wd)
-            for t in range(k):
-                gw[:, :, t] = np.einsum(
-                    "bcm,bom->co", xd, gf[:, :, t : t + stride * m : stride], optimize=True
-                )
-            w._accumulate(gw)
+        taps = [gf[:, :, t : t + stride * m : stride] for t in range(k)]
+        gx = np.zeros_like(xd)
+        for t in range(k):
+            gx += np.einsum("bom,co->bcm", taps[t], wd[:, :, t], optimize=True)
+        x._accumulate(gx)
+        gw = np.stack([np.einsum("bcm,bom->co", xd, tap, optimize=True) for tap in taps], axis=-1)
+        w._accumulate(gw)
 
     return Tensor(data, _parents=(x, w), _backward=back)

@@ -21,6 +21,7 @@ from .model import (
 from .signals import (
     Dataset,
     SceneConfig,
+    json_safe,
     read_dataset,
     read_records,
     render_target,
@@ -185,7 +186,7 @@ def _cmd_eval(args):
         "mean_psnr_db": float(np.mean(values)),
         "min_psnr_db": float(np.min(values)),
         "max_psnr_db": float(np.max(values)),
-        "data_meta": ev.json_safe(data.meta),
+        "data_meta": json_safe(data.meta),
         "seed": args.seed,
         "version": 1,
     }

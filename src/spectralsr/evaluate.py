@@ -19,6 +19,7 @@ from .classical import music, omp, periodogram
 from .signals import (
     FrequencyScene,
     SceneConfig,
+    json_safe,
     render_target,
     sample_scene,
     spectrum_grid,
@@ -34,11 +35,17 @@ METHODS = CLASSICAL_METHODS + ("model",)
 
 
 def psnr(estimate, target):
-    """10 log10(max(target)^2 / MSE), capped at 150 dB."""
+    """10 log10(max(target)^2 / MSE), capped at 150 dB.
+
+    An estimate with a NaN or infinite value has no PSNR: it raises
+    ``ValueError``, so a diverged model cannot score as a perfect one.
+    """
     estimate = np.asarray(estimate, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if estimate.shape != target.shape:
         raise ValueError("estimate and target must have equal lengths")
+    if not np.all(np.isfinite(estimate)):
+        raise ValueError("PSNR undefined for an estimate with a non-finite value")
     peak = target.max()
     if peak <= 0:
         raise ValueError("PSNR undefined for an all-zero target")
@@ -113,23 +120,6 @@ def make_method(name, n_grid, checkpoint=None):
 
         return lambda signal, scene: model_forward(signal, checkpoint)
     raise ValueError(f"unknown method {name!r}")
-
-
-def json_safe(value):
-    """``value`` with every infinite float, also inside dicts and lists,
-    replaced by the string ``"inf"`` or ``"-inf"``, which ``float()`` and
-    ``--snr`` parse back, so strict JSON parsers accept the dump.
-
-    NaN is left as it is: it is never a valid setting, so the dump keeps
-    the token that a strict parser rejects.
-    """
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, float) and np.isinf(value):
-        return str(value)
-    return value
 
 
 @dataclass
@@ -248,11 +238,9 @@ def psnr_vs_snr(
             target = render_target(scene, n_grid)
             for name, method in methods.items():
                 try:
-                    spec = method(signal, scene)
+                    sums[name].append(psnr(method(signal, scene), target))
                 except Exception:
                     errors[name] += 1
-                    continue
-                sums[name].append(psnr(spec, target))
         for name in methods:
             curves[name].append(float(np.mean(sums[name])) if sums[name] else float("nan"))
     return ExperimentReport(

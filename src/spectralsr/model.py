@@ -428,4 +428,21 @@ def load_checkpoint(path, expected_config=None):
             raise CheckpointError(f"{path}: trailing bytes after payload")
     except (struct.error, ValueError, IndexError) as exc:
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
+    _check_params(path, cfg, params)
     return ParameterStore(cfg, params, step=step, opt_state=opt_state)
+
+
+def _check_params(path, cfg, params):
+    """Raise ``CheckpointError`` naming the first parameter, in name order,
+    that is missing, extra, or shaped unlike in ``init_model(cfg)``."""
+    expected = init_model(cfg, np.random.default_rng(0)).params
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise CheckpointError(f"{path}: parameter {name} is missing")
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected parameter {name}")
+        if params[name].shape != expected[name].shape:
+            raise CheckpointError(
+                f"{path}: parameter {name} has shape {params[name].shape}, "
+                f"expected {expected[name].shape}"
+            )

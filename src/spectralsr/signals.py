@@ -160,9 +160,26 @@ def scene_from_dict(d):
     )
 
 
+def json_safe(value):
+    """``value`` with every infinite float, also inside dicts and lists,
+    replaced by the string ``"inf"`` or ``"-inf"``, which ``float()`` and
+    ``--snr`` parse back, so strict JSON parsers accept the dump.
+
+    NaN is left as it is: it is never a valid setting, so the dump keeps
+    the token that a strict parser rejects.
+    """
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, float) and np.isinf(value):
+        return str(value)
+    return value
+
+
 def scenes_to_json(scenes, **meta):
     payload = {"version": 1, "scenes": [scene_to_dict(s) for s in scenes]}
-    payload.update(meta)
+    payload.update(json_safe(meta))
     return json.dumps(payload, sort_keys=True)
 
 

@@ -117,7 +117,7 @@ def validation_psnr(store, scenes, model_cfg, sigma_f, snr_db=20.0, seed=1234):
     return float(np.mean(values))
 
 
-def train(store, train_cfg, scenes=None, val_scenes=None, log_every=1):
+def train(store, train_cfg, scenes=None, val_scenes=None):
     """Minimize MSE over the scene set; returns (store, history).
 
     ``store`` is updated in place and also returned.  Deterministic for a

@@ -227,3 +227,31 @@ def test_no_grad_restores_mode_after_exception_and_nesting():
             assert not _grad_mode_on()
         assert not _grad_mode_on()
     assert _grad_mode_on()
+
+
+def test_shared_gradient_is_never_added_into_in_place():
+    a = Tensor(np.zeros(3), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    (a + b + a).sum().backward()
+    assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
+    assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    c_mul = Tensor(rng.normal(size=(2, 3)))
+    c_mat = Tensor(rng.normal(size=(3, 4)))
+    ((x * c_mul) @ c_mat).sum().backward()
+    assert x.grad is not None
+    assert c_mul.grad is None and c_mat.grad is None
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_gradient_through_transpose_has_the_leaf_strides(order):
+    rng = np.random.default_rng(14)
+    x = Tensor(np.asarray(rng.normal(size=(3, 4)), order=order), requires_grad=True)
+    proj = rng.normal(size=(4, 3))
+    (x.transpose((1, 0)) * proj).sum().backward()
+    assert x.grad.strides == x.data.strides
+    assert np.array_equal(x.grad, proj.T)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spectralsr.cli import main
-from spectralsr.model import load_checkpoint
-from spectralsr.signals import read_dataset, read_records, write_records
+from spectralsr.model import init_model, load_checkpoint, micro_config, save_checkpoint
+from spectralsr.signals import DATASET_MAGIC, read_dataset, read_records, write_records
 
 
 def run(argv):
@@ -215,3 +215,41 @@ def test_eval_header_without_scenes_exits_1_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(data) in err and "scenes" in err
+
+
+def test_generate_noiseless_header_is_strict_json(tmp_path):
+    data = tmp_path / "d.bin"
+    assert run(["generate", "--n", 2, "--out", data, "--snr", "inf",
+                "--signal-dim", 8, "--n-sr", 32]) == 0
+    raw = data.read_bytes()
+    assert raw[:4] == DATASET_MAGIC
+    json_len = int.from_bytes(raw[4:8], "little")
+    header = strict_json(raw[8 : 8 + json_len].decode())
+    assert header["snr_db"] == "inf"
+
+
+def eval_micro_model(tmp_path, capsys, edit):
+    """Exit code and stderr of ``eval --method model`` on a micro checkpoint
+    whose parameters ``edit`` changed before saving."""
+    store = init_model(micro_config(), np.random.default_rng(0))
+    edit(store.params)
+    ckpt, data = tmp_path / "m.ckpt", tmp_path / "d.bin"
+    save_checkpoint(store, ckpt)
+    run(["generate", "--n", 2, "--out", data, "--signal-dim", 8, "--n-sr", 32])
+    capsys.readouterr()
+    code = run(["eval", "--data", data, "--method", "model", "--checkpoint", ckpt])
+    return code, capsys.readouterr().err
+
+
+def test_eval_checkpoint_missing_a_parameter_exits_1_with_one_line(tmp_path, capsys):
+    code, err = eval_micro_model(tmp_path, capsys, lambda p: p.pop("head.b"))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "head.b" in err
+
+
+def test_eval_nan_estimate_exits_1_with_one_line(tmp_path, capsys):
+    code, err = eval_micro_model(tmp_path, capsys, lambda p: p["head.b"].data.fill(np.nan))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite" in err

@@ -36,6 +36,11 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.ones(3), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            psnr(np.full(4, bad), np.array([0.0, 1.0, 0.5, 0.0]))
+
 
 class TestResolutionDecision:
     def test_clear_dip_resolved(self):
@@ -204,3 +209,18 @@ class TestExperiments:
         lines = out["sep0.6_snr20dB"].strip().split("\n")
         assert lines[0] == "frequency,periodogram,truth_f1,truth_f2"
         assert len(lines) == 129
+
+    def test_nan_estimate_counts_as_error_in_psnr_sweep(self):
+        def diverged(signal, scene):
+            return np.full(256, np.nan)
+
+        report = psnr_vs_snr(
+            {"diverged": diverged, "periodogram": make_method("periodogram", 256)},
+            snr_grid=[10],
+            trials=4,
+            n=32,
+            n_grid=256,
+            seed=3,
+        )
+        assert report.errors == {"diverged": 4, "periodogram": 0}
+        assert json.loads(report.to_json())["curves"]["diverged"] == [None]

@@ -235,6 +235,29 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="different config"):
             load_checkpoint(path, expected_config=toy_config("swinfreq"))
 
+    @staticmethod
+    def save_edited(tmp_path, edit):
+        store = make_store()
+        edit(store.params)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(store, path)
+        return path
+
+    def test_rejects_missing_parameter(self, tmp_path):
+        path = self.save_edited(tmp_path, lambda p: p.pop("head.b"))
+        with pytest.raises(CheckpointError, match="parameter head.b is missing"):
+            load_checkpoint(path)
+
+    def test_rejects_extra_parameter(self, tmp_path):
+        path = self.save_edited(tmp_path, lambda p: p.update({"head.extra": Tensor(np.zeros(2))}))
+        with pytest.raises(CheckpointError, match="unexpected parameter head.extra"):
+            load_checkpoint(path)
+
+    def test_rejects_misshaped_parameter(self, tmp_path):
+        path = self.save_edited(tmp_path, lambda p: p.update({"head.w": Tensor(np.zeros(8))}))
+        with pytest.raises(CheckpointError, match=r"head.w has shape \(8,\), expected \(2, 1, 4\)"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "nope.ckpt")
