@@ -12,11 +12,12 @@ _WINDOWS = ("rect", "hann", "hamming")
 
 
 def periodogram(signal, n_fft=None, window="rect"):
-    """Squared-magnitude windowed DFT on an fftshifted grid.
+    """Squared-magnitude windowed DFT on the grid f_k = -0.5 + k/n_fft.
 
     Normalized by the squared coherent gain so a unit-amplitude on-grid
     tone with a rectangular window peaks at exactly 1.  Index 0 of the
-    output corresponds to f = -0.5.
+    output corresponds to f = -0.5 for even and odd ``n_fft`` alike: the
+    signal is modulated by (-1)^t, which shifts f = -0.5 to DFT bin 0.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     n = len(signal)
@@ -31,8 +32,9 @@ def periodogram(signal, n_fft=None, window="rect"):
         taper = np.hamming(n)
     else:
         raise ValueError(f"unknown window {window!r}; supported: {', '.join(_WINDOWS)}")
-    spec = np.fft.fft(taper * signal, n_fft)
-    return np.fft.fftshift(np.abs(spec) ** 2) / taper.sum() ** 2
+    alternating = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    spec = np.fft.fft(taper * signal * alternating, n_fft)
+    return np.abs(spec) ** 2 / taper.sum() ** 2
 
 
 def sample_covariance(signal, m):

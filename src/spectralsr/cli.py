@@ -12,6 +12,7 @@ from . import evaluate as ev
 from .model import (
     CheckpointError,
     ModelConfig,
+    config_from_json,
     default_config,
     init_model,
     load_checkpoint,
@@ -126,18 +127,19 @@ def _load_train_config(path, seed_override):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        model_section = dict(raw.get("model", {}))
-        preset = model_section.pop("preset", None)
-        if preset is not None:
-            if preset not in PRESETS:
+        if not isinstance(raw, dict):
+            raise ValueError(f"the config must be a JSON object, got {type(raw).__name__}")
+        model_section = raw.get("model", {})
+        if isinstance(model_section, dict) and "preset" in model_section:
+            model_section = dict(model_section)
+            preset = model_section.pop("preset")
+            if not (isinstance(preset, str) and preset in PRESETS):
                 raise ConfigError(f"unknown model preset {preset!r}")
             base = PRESETS[preset](model_section.pop("variant", "swinfreq"))
-            merged = {**base.__dict__, **model_section}
-            model_cfg = ModelConfig(**merged)
-        else:
-            model_cfg = ModelConfig(**model_section)
-        train_cfg = TrainConfig(**raw.get("train", {}))
-    except (TypeError, ValueError) as exc:
+            model_section = {**base.__dict__, **model_section}
+        model_cfg = config_from_json(ModelConfig, model_section)
+        train_cfg = config_from_json(TrainConfig, raw.get("train", {}))
+    except ValueError as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     if seed_override is not None:
         train_cfg.seed = seed_override
@@ -258,7 +260,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (CheckpointError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

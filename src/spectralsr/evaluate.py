@@ -24,7 +24,6 @@ from .signals import (
     sample_scene,
     spectrum_grid,
     synthesize,
-    wrapped_distance,
 )
 
 PSNR_CAP_DB = 150.0

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .cvops import (
     mlp,
     wmsa,
 )
-from .signals import minmax_normalize
+from .signals import FileReader, minmax_normalize
 
 VARIANTS = ("swinfreq", "cvswinfreq")
 CHECKPOINT_MAGIC = b"SSRC"
@@ -57,6 +58,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        for name, value in asdict(self).items():
+            if name != "variant" and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.inner % self.window != 0:
             raise ValueError("window must divide the inner feature length")
         if self.n_sr % self.inner != 0:
@@ -79,6 +83,35 @@ class ModelConfig:
     def hash(self):
         payload = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+def config_from_json(cls, value):
+    """``cls(**value)`` for a config dataclass ``cls`` and a decoded JSON ``value``.
+
+    Raises ``ValueError`` unless ``value`` is an object whose keys are
+    fields of ``cls``, that gives every field without a default, and whose
+    values match their field's annotation: an ``int`` field takes no bool,
+    a ``float`` field also takes an int, and ``X | None`` also takes null.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(value).__name__}")
+    hints = typing.get_type_hints(cls)
+    by_name = {f.name: f for f in fields(cls)}
+    for name, item in value.items():
+        if name not in by_name:
+            raise ValueError(f"{cls.__name__} has no field {name!r}")
+        types = typing.get_args(hints[name]) or (hints[name],)
+        accepted = types + (int,) if float in types else types
+        if not isinstance(item, accepted) or isinstance(item, bool) and bool not in types:
+            expected = " | ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(f"{cls.__name__}.{name} must be {expected}, got {item!r}")
+    missing = [
+        name for name, f in by_name.items()
+        if name not in value and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{cls.__name__} needs {', '.join(missing)}")
+    return cls(**value)
 
 
 def default_config(variant):
@@ -376,65 +409,52 @@ def load_checkpoint(path, expected_config=None):
     """Read a checkpoint; verifies the stored config hash and optionally
     that it matches ``expected_config``."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        if raw[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = struct.unpack_from("<I", raw, 4)
+        reader = FileReader(path, CHECKPOINT_MAGIC, "checkpoint")
+        (version,) = reader.unpack("I", "version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        stored_hash = raw[8:40].hex()
-        step, cfg_len = struct.unpack_from("<QI", raw, 40)
-        off = 52
-        cfg_json = raw[off : off + cfg_len]
-        off += cfg_len
-        cfg = ModelConfig(**json.loads(cfg_json.decode()))
+        stored_hash = reader.take(32, "config hash").hex()
+        step, cfg_len = reader.unpack("QI", "step and config length")
+        cfg_json = reader.take(cfg_len, "config")
+        try:
+            cfg = config_from_json(ModelConfig, json.loads(cfg_json))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: stored config: {exc}") from exc
         if cfg.hash() != stored_hash:
             raise CheckpointError(f"{path}: config hash mismatch (corrupt header)")
         if expected_config is not None and expected_config.hash() != stored_hash:
             raise CheckpointError(
                 f"{path}: checkpoint was trained with a different config"
             )
-        (n_entries,) = struct.unpack_from("<I", raw, off)
-        off += 4
         params: dict[str, Tensor] = {}
         opt_state: dict[str, dict] = {}
+        (n_entries,) = reader.unpack("I", "entry count")
         for _ in range(n_entries):
-            (name_len,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            name = raw[off : off + name_len].decode()
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            shape = []
-            for _ in range(ndim):
-                (dim,) = struct.unpack_from("<I", raw, off)
-                off += 4
-                shape.append(dim)
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-            off += count * 8
-            data = data.astype(np.float64).reshape(shape)
+            (name_len,) = reader.unpack("H", "entry name length")
+            name = reader.take(name_len, "entry name").decode(errors="backslashreplace")
+            (ndim,) = reader.unpack("B", f"{name} rank")
+            shape = reader.unpack("I" * ndim, f"{name} shape")
+            data = reader.array(np.float64, shape, name)
             if name.startswith("opt.m."):
                 opt_state.setdefault(name[6:], {})["m"] = data
             elif name.startswith("opt.v."):
                 opt_state.setdefault(name[6:], {})["v"] = data
             else:
                 params[name] = Tensor(data, requires_grad=True)
-        if off != len(raw):
-            raise CheckpointError(f"{path}: trailing bytes after payload")
-    except (struct.error, ValueError, IndexError) as exc:
-        raise CheckpointError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
-    _check_params(path, cfg, params)
+        reader.end()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
+    _check_params(path, cfg, params, opt_state)
     return ParameterStore(cfg, params, step=step, opt_state=opt_state)
 
 
-def _check_params(path, cfg, params):
+def _check_params(path, cfg, params, opt_state):
     """Raise ``CheckpointError`` naming the first parameter, in name order,
-    that is missing, extra, or shaped unlike in ``init_model(cfg)``."""
+    that is missing, extra, or shaped unlike in ``init_model(cfg)``, then
+    the first optimizer entry that lacks its ``m`` / ``v`` pair, names no
+    parameter, or is shaped unlike its parameter."""
     expected = init_model(cfg, np.random.default_rng(0)).params
     for name in sorted(expected.keys() | params.keys()):
         if name not in params:
@@ -446,3 +466,15 @@ def _check_params(path, cfg, params):
                 f"{path}: parameter {name} has shape {params[name].shape}, "
                 f"expected {expected[name].shape}"
             )
+    for name in sorted(opt_state):
+        for key in ("m", "v"):
+            entry = f"opt.{key}.{name}"
+            if key not in opt_state[name]:
+                raise CheckpointError(f"{path}: optimizer entry {entry} is missing")
+            if name not in expected:
+                raise CheckpointError(f"{path}: optimizer entry {entry} names no parameter")
+            if opt_state[name][key].shape != expected[name].shape:
+                raise CheckpointError(
+                    f"{path}: optimizer entry {entry} has shape {opt_state[name][key].shape}, "
+                    f"expected {expected[name].shape}"
+                )

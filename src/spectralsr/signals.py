@@ -7,6 +7,7 @@ the unit circle; all distances here wrap accordingly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -145,6 +146,44 @@ def minmax_normalize(x):
 # -- serialization -----------------------------------------------------
 
 
+class FileReader:
+    """A binary file read whole and handed out field by field after its
+    4-byte ``magic``.  Each malformed field raises one ``ValueError``
+    naming the path and the field."""
+
+    def __init__(self, path, magic, kind):
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+        if self.data[:4] != magic:
+            raise ValueError(f"{path}: not a {kind} (bad magic)")
+        self.path, self.pos = path, 4
+
+    def take(self, size, what):
+        left = len(self.data) - self.pos
+        if size > left:
+            raise ValueError(f"{self.path}: expected {size} {what} bytes, got {left}")
+        self.pos += size
+        return self.data[self.pos - size : self.pos]
+
+    def unpack(self, fmt, what):
+        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), what))
+
+    def array(self, dtype, shape, what):
+        """A native-order copy of the little-endian array of ``shape``."""
+        dtype = np.dtype(dtype).newbyteorder("<")
+        # math.prod of Python ints: a corrupt shape cannot overflow the size
+        raw = self.take(math.prod(shape) * dtype.itemsize, what)
+        try:
+            return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("=")).reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise ValueError(f"{self.path}: {what}: {exc}") from exc
+
+    def end(self):
+        left = len(self.data) - self.pos
+        if left:
+            raise ValueError(f"{self.path}: {left} trailing bytes after the payload")
+
+
 def scene_to_dict(scene):
     return {
         "freqs": scene.freqs.tolist(),
@@ -217,22 +256,13 @@ def write_records(path, array):
 
 
 def read_records(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a record file (bad magic)")
-        header = fh.read(9)
-        if len(header) != 9:
-            raise ValueError(f"{path}: truncated header")
-        code, count, length = struct.unpack("<BII", header)
-        if code not in _CODE_DTYPES:
-            raise ValueError(f"{path}: unknown dtype code {code}")
-        dtype = np.dtype(_CODE_DTYPES[code]).newbyteorder("<")
-        raw = fh.read()
-    expected = count * length * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype=dtype).astype(dtype.base).reshape(count, length)
+    reader = FileReader(path, MAGIC, "record file")
+    code, count, length = reader.unpack("BII", "header")
+    if code not in _CODE_DTYPES:
+        raise ValueError(f"{path}: unknown dtype code {code}")
+    records = reader.array(_CODE_DTYPES[code], (count, length), "payload")
+    reader.end()
+    return records
 
 
 @dataclass
@@ -258,29 +288,16 @@ def write_dataset(path, dataset):
         fh.write(sig.astype(np.dtype(np.complex128).newbyteorder("<")).tobytes())
 
 
-def _read_exact(fh, size, path, what):
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"{path}: truncated {what}: expected {size} bytes, got {len(data)}")
-    return data
-
-
 def read_dataset(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != DATASET_MAGIC:
-            raise ValueError(f"{path}: not a dataset file (bad magic)")
-        (json_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "scene header length"))
-        header = _read_exact(fh, json_len, path, "scene header")
-        try:
-            scenes, meta = scenes_from_json(header.decode())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        count, length = struct.unpack("<II", _read_exact(fh, 8, path, "count/length header"))
-        raw = fh.read()
-    dtype = np.dtype(np.complex128).newbyteorder("<")
-    expected = count * length * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated dataset payload")
-    signals = np.frombuffer(raw, dtype=dtype).astype(np.complex128).reshape(count, length)
+    reader = FileReader(path, DATASET_MAGIC, "dataset file")
+    (json_len,) = reader.unpack("I", "scene header length")
+    header = reader.take(json_len, "scene header")
+    try:
+        scenes, meta = scenes_from_json(header.decode())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    count, length = reader.unpack("II", "count/length header")
+    signals = reader.array(np.complex128, (count, length), "payload")
+    reader.end()
     meta = {k: v for k, v in meta.items() if k not in ("version", "scenes")}
     return Dataset(scenes, signals, meta)

@@ -53,7 +53,6 @@ class TrainHistory:
 
 def make_batch(scenes, model_cfg, train_cfg, rng):
     """Fresh noisy inputs and (noise-free) targets for a list of scenes."""
-    sigma_f = train_cfg.sigma_f if train_cfg.sigma_f is not None else 0.12 / model_cfg.n_sr
     inputs = np.empty((len(scenes), model_cfg.n), dtype=np.complex128)
     targets = np.empty((len(scenes), model_cfg.n_sr))
     for i, scene in enumerate(scenes):
@@ -62,7 +61,7 @@ def make_batch(scenes, model_cfg, train_cfg, rng):
         else:
             snr = float(rng.uniform(train_cfg.snr_lo_db, train_cfg.snr_hi_db))
         inputs[i] = minmax_normalize(synthesize(scene, model_cfg.n, snr, rng))
-        targets[i] = render_target(scene, model_cfg.n_sr, sigma_f)
+        targets[i] = render_target(scene, model_cfg.n_sr, train_cfg.sigma_f)
     return inputs, targets
 
 
@@ -105,8 +104,9 @@ def _mse_loss(store, inputs, targets):
     return (diff * diff).mean()
 
 
-def validation_psnr(store, scenes, model_cfg, sigma_f, snr_db=20.0, seed=1234):
+def validation_psnr(store, scenes, sigma_f, snr_db=20.0, seed=1234):
     """Mean PSNR of the model on held-out scenes at a fixed SNR."""
+    model_cfg = store.config
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     values = []
     for scene in scenes:
@@ -125,7 +125,6 @@ def train(store, train_cfg, scenes=None, val_scenes=None):
     order are all derived from it.
     """
     model_cfg = store.config
-    sigma_f = train_cfg.sigma_f if train_cfg.sigma_f is not None else 0.12 / model_cfg.n_sr
     scene_cfg = SceneConfig(n_sr=model_cfg.n_sr)
     if scenes is None:
         rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0]))
@@ -172,7 +171,7 @@ def train(store, train_cfg, scenes=None, val_scenes=None):
             tic = time.perf_counter()
             if val_scenes:
                 history.val_psnr.append(
-                    validation_psnr(store, val_scenes, model_cfg, sigma_f)
+                    validation_psnr(store, val_scenes, train_cfg.sigma_f)
                 )
             if (
                 train_cfg.checkpoint_every

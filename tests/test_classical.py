@@ -26,6 +26,13 @@ class TestPeriodogram:
         assert int(np.argmax(p)) == 300
         assert p[300] == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("n_fft", [255, 256])
+    def test_on_grid_tone_peaks_at_its_bin_on_odd_and_even_grids(self, n_fft):
+        f = spectrum_grid(n_fft)[40]
+        p = periodogram(synthesize(FrequencyScene([f], [1.0]), 64), n_fft=n_fft)
+        assert int(np.argmax(p)) == 40
+        assert p[40] == pytest.approx(1.0, rel=1e-10)
+
     def test_matches_direct_dft_oracle(self):
         rng = np.random.default_rng(0)
         sig = rng.normal(size=16) + 1j * rng.normal(size=16)

@@ -253,3 +253,47 @@ def test_eval_nan_estimate_exits_1_with_one_line(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "lr": "abc"}},
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "epochs": "1"}},
+    {**MICRO_TRAIN, "model": {"preset": "micro", "n": "8"}},
+    {**MICRO_TRAIN, "model": {"preset": "micro", "window": 0}},
+], ids=["not-an-object", "lr-string", "epochs-string", "n-string", "window-zero"])
+def test_train_mistyped_config_exits_2_with_one_error_line(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    assert run(["train", "--config", cfg, "--out", tmp_path / "m.ckpt"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("stored", [{**micro_config().__dict__, "extra": 1}, []],
+                         ids=["unknown-key", "not-an-object"])
+def test_eval_checkpoint_with_corrupt_config_exits_1_with_one_line(tmp_path, capsys, stored):
+    ckpt, data = tmp_path / "m.ckpt", tmp_path / "d.bin"
+    save_checkpoint(init_model(micro_config(), np.random.default_rng(0)), ckpt)
+    raw = ckpt.read_bytes()
+    cfg_len = int.from_bytes(raw[48:52], "little")
+    text = json.dumps(stored).encode()
+    ckpt.write_bytes(raw[:48] + len(text).to_bytes(4, "little") + text + raw[52 + cfg_len :])
+    run(["generate", "--n", 2, "--out", data, "--signal-dim", 8, "--n-sr", 32])
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--method", "model", "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(ckpt) in err and "stored config" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--data", "{dir}"],
+    ["baseline", "--method", "periodogram", "--data", "{dir}", "--out", "{dir}/o.bin"],
+    ["generate", "--n", 1, "--out", "{dir}"],
+], ids=["eval", "baseline", "generate"])
+def test_directory_path_exits_1_with_one_line(tmp_path, capsys, command):
+    assert run([str(a).format(dir=tmp_path) for a in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err

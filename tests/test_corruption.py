@@ -1,0 +1,90 @@
+"""Every truncation, and every overwritten header byte, of the three file
+formats ends in the documented error: ``ValueError`` for record and
+dataset files, ``CheckpointError`` for checkpoints."""
+
+import numpy as np
+import pytest
+
+from spectralsr.model import (
+    CheckpointError,
+    init_model,
+    load_checkpoint,
+    micro_config,
+    save_checkpoint,
+)
+from spectralsr.signals import (
+    Dataset,
+    FrequencyScene,
+    read_dataset,
+    read_records,
+    write_dataset,
+    write_records,
+)
+
+# values written over each header byte, besides the byte XOR 0x01, which
+# turns a key into an unknown one; b"0" zeroes a digit of a config value
+OVERWRITES = (0x00, 0xFF, ord("0"))
+
+
+def write_checkpoint(path):
+    """A micro cvswinfreq checkpoint with optimizer state for two parameters;
+    returns the length of its header (up to and including the entry count)."""
+    store = init_model(micro_config("cvswinfreq"), np.random.default_rng(0))
+    store.step = 3
+    for name in ("head.w", "head.b"):
+        data = store.params[name].data
+        store.opt_state[name] = {"m": np.full_like(data, 0.5), "v": np.full_like(data, 0.25)}
+    save_checkpoint(store, path)
+    cfg_len = int.from_bytes(path.read_bytes()[48:52], "little")
+    return 52 + cfg_len + 4
+
+
+def write_dataset_file(path):
+    scenes = [FrequencyScene([0.1], [1.0]), FrequencyScene([-0.2, 0.3], [1j, 0.5])]
+    signals = np.arange(16).reshape(2, 8) * (1 + 1j)
+    write_dataset(path, Dataset(scenes, signals, {"snr_db": 20.0, "n_sr": 32}))
+    return 8 + int.from_bytes(path.read_bytes()[4:8], "little") + 8
+
+
+def write_records_file(path):
+    write_records(path, np.arange(6.0).reshape(2, 3))
+    return 13
+
+
+FORMATS = {
+    "records": (write_records_file, read_records, ValueError),
+    "dataset": (write_dataset_file, read_dataset, ValueError),
+    "checkpoint": (write_checkpoint, load_checkpoint, CheckpointError),
+}
+
+
+def corruptions(raw, header_len):
+    # every cut length, except inside the middle of a checkpoint's parameter
+    # entries, which repeat the layout of the first ones; this keeps the test
+    # short, and cuts the records and dataset files everywhere
+    for size in range(len(raw)):
+        if size < header_len + 1024 or size > len(raw) - 512:
+            yield f"cut at {size}", raw[:size]
+    for pos in range(header_len):
+        for value in OVERWRITES + (raw[pos] ^ 0x01,):
+            if value != raw[pos]:
+                edited = raw[:pos] + bytes([value]) + raw[pos + 1 :]
+                yield f"byte {pos} set to {value:#04x}", edited
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_every_corruption_ends_in_the_documented_error(tmp_path, fmt):
+    write, read, error = FORMATS[fmt]
+    path = tmp_path / "f.bin"
+    header_len = write(path)
+    raw = path.read_bytes()
+    read(path)
+    bad = tmp_path / "bad.bin"
+    for label, data in corruptions(raw, header_len):
+        bad.write_bytes(data)
+        try:
+            read(bad)
+        except error:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{fmt} {label}: {type(exc).__name__}: {exc}")

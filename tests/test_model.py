@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -10,6 +11,7 @@ from spectralsr.model import (
     CheckpointError,
     ModelConfig,
     ParameterStore,
+    config_from_json,
     default_config,
     init_model,
     load_checkpoint,
@@ -22,6 +24,7 @@ from spectralsr.model import (
     toy_config,
 )
 from spectralsr.signals import minmax_normalize
+from spectralsr.train import TrainConfig
 
 
 def make_store(variant="swinfreq", seed=0):
@@ -36,6 +39,33 @@ class TestConfig:
             ModelConfig(variant="swinfreq", inner=100, window=16)
         with pytest.raises(ValueError, match="divide"):
             ModelConfig(variant="swinfreq", inner=250, window=2, n_sr=4096)
+
+    @pytest.mark.parametrize("field", ["window", "inner", "n_sr"])
+    def test_rejects_non_positive_size(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            ModelConfig(variant="swinfreq", **{field: 0})
+
+    @pytest.mark.parametrize("value, match", [
+        ([], "must be a JSON object"),
+        ({"variant": "swinfreq", "nn": 8}, "no field 'nn'"),
+        ({"variant": "swinfreq", "n": "8"}, "n must be int"),
+        ({"variant": "swinfreq", "n": True}, "n must be int"),
+        ({"variant": "swinfreq", "n": 8.0}, "n must be int"),
+        ({"n": 8}, "needs variant"),
+    ])
+    def test_from_json_rejects(self, value, match):
+        with pytest.raises(ValueError, match=match):
+            config_from_json(ModelConfig, value)
+
+    def test_from_json_field_types(self):
+        assert config_from_json(ModelConfig, {"variant": "swinfreq"}) == ModelConfig("swinfreq")
+        cfg = config_from_json(TrainConfig, {"lr": 1, "sigma_f": None, "log_path": "x.csv"})
+        assert (cfg.lr, cfg.sigma_f, cfg.log_path) == (1, None, "x.csv")
+        for value in ("abc", False, None):
+            with pytest.raises(ValueError, match="lr must be float"):
+                config_from_json(TrainConfig, {"lr": value})
+        with pytest.raises(ValueError, match=r"sigma_f must be float \| null"):
+            config_from_json(TrainConfig, {"sigma_f": "0.1"})
 
     def test_derived_geometry(self):
         cfg = default_config("swinfreq")
@@ -256,6 +286,57 @@ class TestCheckpoint:
     def test_rejects_misshaped_parameter(self, tmp_path):
         path = self.save_edited(tmp_path, lambda p: p.update({"head.w": Tensor(np.zeros(8))}))
         with pytest.raises(CheckpointError, match=r"head.w has shape \(8,\), expected \(2, 1, 4\)"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def save_with_config(tmp_path, stored):
+        """A micro checkpoint whose config JSON is replaced by ``stored``."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_store(), path)
+        raw = path.read_bytes()
+        cfg_len = struct.unpack_from("<I", raw, 48)[0]
+        text = json.dumps(stored).encode()
+        path.write_bytes(raw[:48] + struct.pack("<I", len(text)) + text + raw[52 + cfg_len :])
+        return path
+
+    def test_rejects_unknown_config_key(self, tmp_path):
+        path = self.save_with_config(tmp_path, {**micro_config().__dict__, "extra": 1})
+        with pytest.raises(CheckpointError, match="stored config: .* no field 'extra'"):
+            load_checkpoint(path)
+
+    def test_rejects_config_that_is_not_an_object(self, tmp_path):
+        path = self.save_with_config(tmp_path, [])
+        with pytest.raises(CheckpointError, match="stored config: .* must be a JSON object"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def save_with_opt_state(tmp_path, opt_state):
+        store = make_store()
+        store.opt_state = opt_state
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(store, path)
+        return path
+
+    def test_rejects_misshaped_optimizer_entry(self, tmp_path):
+        path = self.save_with_opt_state(
+            tmp_path, {"head.w": {"m": np.zeros(3), "v": np.zeros((2, 1, 4))}}
+        )
+        with pytest.raises(CheckpointError,
+                           match=r"opt.m.head.w has shape \(3,\), expected \(2, 1, 4\)"):
+            load_checkpoint(path)
+
+    def test_rejects_optimizer_entry_without_parameter(self, tmp_path):
+        entry = {"m": np.zeros(1), "v": np.zeros(1)}
+        path = self.save_with_opt_state(tmp_path, {"head.gone": entry})
+        with pytest.raises(CheckpointError, match="opt.m.head.gone names no parameter"):
+            load_checkpoint(path)
+
+    def test_rejects_optimizer_entry_without_its_pair(self, tmp_path):
+        path = self.save_with_opt_state(tmp_path, {"head.b": {"m": np.zeros(1), "v": np.zeros(1)}})
+        raw = path.read_bytes()
+        # rename opt.v.head.b to opt.m.head.b: the file then holds two m entries and no v
+        path.write_bytes(raw.replace(b"opt.v.head.b", b"opt.m.head.b"))
+        with pytest.raises(CheckpointError, match="opt.v.head.b is missing"):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
