@@ -11,13 +11,31 @@ from .signals import spectrum_grid
 _WINDOWS = ("rect", "hann", "hamming")
 
 
+def _grid_dft(x, n_grid):
+    """DFT on the grid f_k = -0.5 + k/n_grid along the last axis of ``x``.
+
+    Returns sum_t x[t] exp(-2 pi i t f_k), computed as one FFT:
+    exp(-2 pi i t f_k) = (-1)^t exp(-2 pi i t k/n_grid), so index 0 is
+    f = -0.5 for even and odd ``n_grid`` alike.  The second factor has
+    period ``n_grid`` in t, so an input longer than the grid is folded
+    (summed) modulo ``n_grid`` before the FFT, which is exact.
+    """
+    if n_grid < 1:
+        raise ValueError(f"grid size {n_grid} must be at least 1")
+    n = x.shape[-1]
+    x = x * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    if n > n_grid:
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, -n % n_grid)])
+        x = x.reshape(*x.shape[:-1], -1, n_grid).sum(axis=-2)
+    return np.fft.fft(x, n_grid)
+
+
 def periodogram(signal, n_fft=None, window="rect"):
     """Squared-magnitude windowed DFT on the grid f_k = -0.5 + k/n_fft.
 
     Normalized by the squared coherent gain so a unit-amplitude on-grid
     tone with a rectangular window peaks at exactly 1.  Index 0 of the
-    output corresponds to f = -0.5 for even and odd ``n_fft`` alike: the
-    signal is modulated by (-1)^t, which shifts f = -0.5 to DFT bin 0.
+    output corresponds to f = -0.5 for even and odd ``n_fft`` alike.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     n = len(signal)
@@ -32,9 +50,7 @@ def periodogram(signal, n_fft=None, window="rect"):
         taper = np.hamming(n)
     else:
         raise ValueError(f"unknown window {window!r}; supported: {', '.join(_WINDOWS)}")
-    alternating = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    spec = np.fft.fft(taper * signal * alternating, n_fft)
-    return np.abs(spec) ** 2 / taper.sum() ** 2
+    return np.abs(_grid_dft(taper * signal, n_fft)) ** 2 / taper.sum() ** 2
 
 
 def sample_covariance(signal, m):
@@ -56,8 +72,11 @@ def sample_covariance(signal, m):
 def music(signal, order, m=None, n_grid=4096):
     """MUSIC pseudospectrum from the smoothed single-snapshot covariance.
 
-    Scaled to max 1; the denominator carries a 1e-12 ridge so noiseless
-    peaks stay finite without shifting the argmax.
+    The grid is scanned by FFT: the denominator sum_j |v_j^H a(f_k)|^2
+    over the noise eigenvectors v_j is the squared modulus of each
+    eigenvector's grid DFT, summed.  Scaled to max 1; the denominator
+    carries a 1e-12 ridge so noiseless peaks stay finite without shifting
+    the argmax.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     n = len(signal)
@@ -67,10 +86,7 @@ def music(signal, order, m=None, n_grid=4096):
     cov = sample_covariance(signal, m)
     _, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
     noise_basis = vecs[:, : m - order]
-    grid = spectrum_grid(n_grid)
-    steering = np.exp(2j * np.pi * np.outer(np.arange(m), grid))
-    proj = noise_basis.conj().T @ steering
-    denom = np.sum(np.abs(proj) ** 2, axis=0)
+    denom = np.sum(np.abs(_grid_dft(noise_basis.T, n_grid)) ** 2, axis=0)
     pseudo = 1.0 / (denom + 1e-12)
     return pseudo / pseudo.max()
 
@@ -89,30 +105,34 @@ class OmpResult:
 def omp(signal, n_grid, sparsity):
     """Orthogonal matching pursuit over unit-norm complex-exponential atoms.
 
-    Each iteration selects the atom with maximum |correlation| against the
-    residual (ties broken toward the lowest grid index), refits all
-    selected atoms by least squares, and updates the residual.  Stops
-    early with ``truncated=True`` if the selected set goes rank deficient.
+    The atoms are exp(2 pi i t f_k) / sqrt(n) on the grid f_k = -0.5 +
+    k/n_grid.  Each iteration selects the atom with maximum |correlation|
+    against the residual (ties broken toward the lowest grid index), with
+    the whole grid scanned by one FFT, refits all selected atoms by least
+    squares, and updates the residual.  Stops early with
+    ``truncated=True`` if the selected set goes rank deficient.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     n = len(signal)
+    if n_grid < 1:
+        raise ValueError(f"grid size {n_grid} must be at least 1")
     if sparsity < 0 or sparsity > n:
         raise ValueError(f"sparsity {sparsity} must be in [0, {n}]")
     grid = spectrum_grid(n_grid)
-    atoms = np.exp(2j * np.pi * np.outer(np.arange(n), grid)) / np.sqrt(n)
     residual = signal.copy()
     selected: list[int] = []
     coeffs = np.zeros(0, dtype=np.complex128)
     history = [float(np.linalg.norm(residual))]
     truncated = False
     for _ in range(sparsity):
-        corr = np.abs(atoms.conj().T @ residual)
-        best = int(np.argmax(corr))
+        # the correlations atoms^H r are the residual's grid DFT / sqrt(n);
+        # the common scale does not move the argmax
+        best = int(np.argmax(np.abs(_grid_dft(residual, n_grid))))
         if best in selected:
             truncated = True
             break
         selected.append(best)
-        sub = atoms[:, selected]
+        sub = np.exp(2j * np.pi * np.outer(np.arange(n), grid[selected])) / np.sqrt(n)
         sol, _, rank, _ = np.linalg.lstsq(sub, signal, rcond=None)
         if rank < len(selected):
             selected.pop()

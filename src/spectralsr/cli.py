@@ -48,6 +48,14 @@ def _snr_db(text):
     return value
 
 
+def _positive_int(text):
+    """An integer of at least 1 (a grid size or a trial count)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spectralsr",
@@ -61,7 +69,7 @@ def _build_parser():
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--signal-dim", type=int, default=64)
-    gen.add_argument("--n-sr", type=int, default=4096)
+    gen.add_argument("--n-sr", type=_positive_int, default=4096)
     gen.add_argument("--snr", type=_snr_db, default=20.0, help="SNR in dB (inf = noiseless)")
     gen.add_argument("--l-min", type=int, default=1)
     gen.add_argument("--l-max", type=int, default=10)
@@ -87,16 +95,16 @@ def _build_parser():
     cmp_p.add_argument("--checkpoint", default=None)
     cmp_p.add_argument("--out", default=None, help="output path prefix")
     cmp_p.add_argument("--seed", type=int, default=0)
-    cmp_p.add_argument("--trials", type=int, default=200)
+    cmp_p.add_argument("--trials", type=_positive_int, default=200)
     cmp_p.add_argument("--n", type=int, default=64)
-    cmp_p.add_argument("--n-grid", type=int, default=4096)
+    cmp_p.add_argument("--n-grid", type=_positive_int, default=4096)
     cmp_p.add_argument("--snr", type=_snr_db, default=20.0)
 
     base = sub.add_parser("baseline", help="run a classical estimator on a signal file")
     base.add_argument("--method", required=True, choices=ev.CLASSICAL_METHODS)
     base.add_argument("--data", required=True, help="signal records file")
     base.add_argument("--out", required=True, help="spectrum records file")
-    base.add_argument("--n-grid", type=int, default=4096)
+    base.add_argument("--n-grid", type=_positive_int, default=4096)
     base.add_argument("--order", type=int, default=1, help="model order for music/omp")
     base.add_argument("--seed", type=int, default=0)
     return parser
@@ -175,7 +183,9 @@ def _make_methods(names, n_grid, checkpoint_path):
 
 def _cmd_eval(args):
     data = read_dataset(args.data)
-    n_sr = int(data.meta.get("n_sr", 4096))
+    n_sr = data.meta.get("n_sr", 4096)
+    if type(n_sr) is not int or n_sr < 1:
+        raise ValueError(f"{args.data}: header n_sr must be an integer of at least 1, got {n_sr!r}")
     methods = _make_methods([args.method], n_sr, args.checkpoint)
     method = methods[args.method]
     values = []

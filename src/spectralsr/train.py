@@ -38,6 +38,8 @@ class TrainConfig:
     log_path: str | None = None
 
     def __post_init__(self):
+        if self.n_scenes < 1:
+            raise ValueError("n_scenes must be at least 1")
         if self.batch < 1:
             raise ValueError("batch size must be at least 1")
         if self.snr_lo_db > self.snr_hi_db:

@@ -16,6 +16,42 @@ def two_tone(f1, f2, n=64, amps=(1.0, 1.0)):
     return synthesize(FrequencyScene([f1, f2], list(amps)), n)
 
 
+def dense_atoms(n, n_grid):
+    """Explicit n x n_grid dictionary exp(2 pi i t f_k) on f_k = -0.5 + k/n_grid."""
+    return np.exp(2j * np.pi * np.outer(np.arange(n), spectrum_grid(n_grid)))
+
+
+def dense_music(signal, order, n_grid):
+    m = len(signal) // 2
+    _, vecs = np.linalg.eigh(sample_covariance(signal, m))
+    proj = vecs[:, : m - order].conj().T @ dense_atoms(m, n_grid)
+    pseudo = 1.0 / (np.sum(np.abs(proj) ** 2, axis=0) + 1e-12)
+    return pseudo / pseudo.max()
+
+
+def dense_omp(signal, n_grid, sparsity):
+    """Selected bins and coefficients of OMP scanned with the dense dictionary."""
+    atoms = dense_atoms(len(signal), n_grid) / np.sqrt(len(signal))
+    residual, selected, coeffs = signal, [], np.zeros(0, dtype=complex)
+    for _ in range(sparsity):
+        best = int(np.argmax(np.abs(atoms.conj().T @ residual)))
+        if best in selected:
+            break
+        sol, _, rank, _ = np.linalg.lstsq(atoms[:, selected + [best]], signal, rcond=None)
+        if rank <= len(selected):
+            break
+        selected.append(best)
+        coeffs = sol
+        residual = signal - atoms[:, selected] @ coeffs
+    return selected, coeffs
+
+
+def noisy_tones(seed, n):
+    rng = np.random.default_rng(seed)
+    scene = FrequencyScene(list(rng.uniform(-0.5, 0.5, 3)), list(rng.normal(size=3) + 1j))
+    return synthesize(scene, n, 10.0, rng)
+
+
 class TestPeriodogram:
     def test_on_grid_tone_peaks_at_one(self):
         n, n_fft = 64, 512
@@ -167,6 +203,45 @@ class TestOmp:
         res = omp(sig, n_grid=4, sparsity=5)
         assert res.truncated
         assert len(res.freqs) <= 4
+
+
+class TestGridScanOracle:
+    """MUSIC and OMP scan their grids by FFT; these compare against the
+    explicit dense dictionary, including grids shorter than the signal."""
+
+    @pytest.mark.parametrize("n_grid", [4, 255, 256, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_music_matches_dense_scan(self, n_grid, seed):
+        sig = noisy_tones(seed, 64)
+        ref = dense_music(sig, 3, n_grid)
+        assert np.max(np.abs(music(sig, order=3, n_grid=n_grid) - ref)) <= 1e-9 * ref.max()
+
+    @pytest.mark.parametrize("n, n_grid", [(64, 4), (300, 255), (300, 256), (64, 255),
+                                           (64, 256), (64, 4096)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_omp_selects_the_dense_scan_bins(self, n, n_grid, seed):
+        sig = noisy_tones(seed, n)
+        bins, coeffs = dense_omp(sig, n_grid, 5)
+        res = omp(sig, n_grid, sparsity=5)
+        assert np.array_equal(res.freqs, spectrum_grid(n_grid)[bins])
+        assert np.array_equal(res.amps, coeffs)
+
+    @pytest.mark.parametrize("n_grid", [4, 255, 256, 4096])
+    def test_all_zero_residual_ties_go_to_bin_0(self, n_grid):
+        res = omp(np.zeros(16, dtype=complex), n_grid, sparsity=2)
+        assert res.freqs.tolist() == [-0.5]
+        assert res.truncated and res.amps.tolist() == [0j]
+
+    @pytest.mark.parametrize("n_grid", [0, -5])
+    def test_grid_size_below_one_is_rejected(self, n_grid):
+        sig = two_tone(0.1, 0.2, n=16)
+        with pytest.raises(ValueError, match="grid size"):
+            music(sig, order=2, n_grid=n_grid)
+        for sparsity in (0, 2):
+            with pytest.raises(ValueError, match="grid size"):
+                omp(sig, n_grid, sparsity=sparsity)
+        with pytest.raises(ValueError):
+            periodogram(sig, n_fft=n_grid)
 
 
 class TestOrderSelection:

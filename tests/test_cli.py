@@ -261,7 +261,9 @@ def test_eval_nan_estimate_exits_1_with_one_line(tmp_path, capsys):
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "epochs": "1"}},
     {**MICRO_TRAIN, "model": {"preset": "micro", "n": "8"}},
     {**MICRO_TRAIN, "model": {"preset": "micro", "window": 0}},
-], ids=["not-an-object", "lr-string", "epochs-string", "n-string", "window-zero"])
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "n_scenes": 0}},
+], ids=["not-an-object", "lr-string", "epochs-string", "n-string", "window-zero",
+        "n-scenes-zero"])
 def test_train_mistyped_config_exits_2_with_one_error_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
     assert run(["train", "--config", cfg, "--out", tmp_path / "m.ckpt"]) == 2
@@ -297,3 +299,39 @@ def test_directory_path_exits_1_with_one_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["compare", "--methods", "omp", "--experiment", "resolution", "--n-grid", 0],
+    ["compare", "--methods", "omp", "--experiment", "resolution", "--n-grid", -5],
+    ["compare", "--methods", "omp", "--experiment", "resolution", "--trials", 0],
+    ["baseline", "--method", "music", "--data", "{dir}/s.bin", "--n-grid", 0],
+    ["generate", "--n", 1, "--n-sr", 0],
+], ids=["compare-n-grid-0", "compare-n-grid-negative", "compare-trials-0", "baseline-n-grid-0",
+        "generate-n-sr-0"])
+def test_grid_size_and_trials_below_one_are_usage_errors(command, tmp_path, capsys):
+    write_records(tmp_path / "s.bin", np.ones((1, 8), dtype=complex))
+    argv = [str(a).format(dir=tmp_path) for a in command] + ["--out", tmp_path / "x"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "must be at least 1" in err
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("n_sr", [None, 0])
+def test_eval_header_with_bad_n_sr_exits_1_with_one_line(tmp_path, capsys, n_sr):
+    data = tmp_path / "d.bin"
+    run(["generate", "--n", 2, "--out", data, "--signal-dim", 8, "--n-sr", 32])
+    raw = data.read_bytes()
+    json_len = int.from_bytes(raw[4:8], "little")
+    header = json.loads(raw[8 : 8 + json_len])
+    header["n_sr"] = n_sr
+    text = json.dumps(header).encode()
+    data.write_bytes(raw[:4] + len(text).to_bytes(4, "little") + text + raw[8 + json_len :])
+    capsys.readouterr()
+    assert run(["eval", "--data", data]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data) in err and "n_sr" in err

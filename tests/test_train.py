@@ -15,6 +15,8 @@ def micro_train_cfg(**kw):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
+        TrainConfig(n_scenes=0)
+    with pytest.raises(ValueError):
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(snr_lo_db=10.0, snr_hi_db=0.0)
