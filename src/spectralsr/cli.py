@@ -49,7 +49,7 @@ def _snr_db(text):
 
 
 def _positive_int(text):
-    """An integer of at least 1 (a grid size or a trial count)."""
+    """An integer of at least 1 (a size, a count or a tone-count bound)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -65,14 +65,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a scene/signal dataset")
-    gen.add_argument("--n", type=int, required=True, help="number of records")
+    gen.add_argument("--n", type=_positive_int, required=True, help="number of records")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--signal-dim", type=int, default=64)
+    gen.add_argument("--signal-dim", type=_positive_int, default=64)
     gen.add_argument("--n-sr", type=_positive_int, default=4096)
     gen.add_argument("--snr", type=_snr_db, default=20.0, help="SNR in dB (inf = noiseless)")
-    gen.add_argument("--l-min", type=int, default=1)
-    gen.add_argument("--l-max", type=int, default=10)
+    gen.add_argument("--l-min", type=_positive_int, default=1)
+    gen.add_argument("--l-max", type=_positive_int, default=10)
 
     tr = sub.add_parser("train", help="train a model from a JSON config")
     tr.add_argument("--config", required=True)
@@ -85,7 +85,6 @@ def _build_parser():
     ev_p.add_argument("--method", default="periodogram", choices=ev.METHODS)
     ev_p.add_argument("--checkpoint", default=None)
     ev_p.add_argument("--out", default=None, help="JSON report path (default stdout)")
-    ev_p.add_argument("--seed", type=int, default=0)
 
     cmp_p = sub.add_parser("compare", help="multi-method Monte Carlo sweeps")
     cmp_p.add_argument("--methods", required=True,
@@ -96,7 +95,7 @@ def _build_parser():
     cmp_p.add_argument("--out", default=None, help="output path prefix")
     cmp_p.add_argument("--seed", type=int, default=0)
     cmp_p.add_argument("--trials", type=_positive_int, default=200)
-    cmp_p.add_argument("--n", type=int, default=64)
+    cmp_p.add_argument("--n", type=_positive_int, default=64)
     cmp_p.add_argument("--n-grid", type=_positive_int, default=4096)
     cmp_p.add_argument("--snr", type=_snr_db, default=20.0)
 
@@ -106,11 +105,12 @@ def _build_parser():
     base.add_argument("--out", required=True, help="spectrum records file")
     base.add_argument("--n-grid", type=_positive_int, default=4096)
     base.add_argument("--order", type=int, default=1, help="model order for music/omp")
-    base.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _cmd_generate(args):
+    if args.l_min > args.l_max:
+        raise ConfigError(f"--l-min {args.l_min} exceeds --l-max {args.l_max}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     cfg = SceneConfig(l_min=args.l_min, l_max=args.l_max, n_sr=args.n_sr)
     scenes = [sample_scene(rng, cfg) for _ in range(args.n)]
@@ -170,15 +170,12 @@ def _cmd_train(args):
 
 
 def _make_methods(names, n_grid, checkpoint_path):
-    methods = {}
     checkpoint = None
-    for name in names:
-        if name == "model":
-            if checkpoint_path is None:
-                raise ConfigError("the model method requires --checkpoint")
-            checkpoint = load_checkpoint(checkpoint_path)
-        methods[name] = ev.make_method(name, n_grid, checkpoint)
-    return methods
+    if "model" in names:
+        if checkpoint_path is None:
+            raise ConfigError("the model method requires --checkpoint")
+        checkpoint = load_checkpoint(checkpoint_path)
+    return {name: ev.make_method(name, n_grid, checkpoint) for name in names}
 
 
 def _cmd_eval(args):
@@ -186,8 +183,9 @@ def _cmd_eval(args):
     n_sr = data.meta.get("n_sr", 4096)
     if type(n_sr) is not int or n_sr < 1:
         raise ValueError(f"{args.data}: header n_sr must be an integer of at least 1, got {n_sr!r}")
-    methods = _make_methods([args.method], n_sr, args.checkpoint)
-    method = methods[args.method]
+    if not data.scenes:
+        raise ValueError(f"{args.data}: the dataset has no records")
+    method = _make_methods([args.method], n_sr, args.checkpoint)[args.method]
     values = []
     for scene, signal in zip(data.scenes, data.signals):
         target = render_target(scene, n_sr)
@@ -199,8 +197,7 @@ def _cmd_eval(args):
         "min_psnr_db": float(np.min(values)),
         "max_psnr_db": float(np.max(values)),
         "data_meta": json_safe(data.meta),
-        "seed": args.seed,
-        "version": 1,
+        "version": 2,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -246,7 +243,7 @@ def _cmd_compare(args):
 
 def _cmd_baseline(args):
     signals = read_records(args.data)
-    spectra = [ev.classical_spectrum(args.method, s, args.order, args.n_grid) for s in signals]
+    spectra = [ev.ESTIMATORS[args.method](s, args.order, args.n_grid) for s in signals]
     write_records(args.out, np.stack(spectra))
     print(f"wrote {len(spectra)} spectra to {args.out}")
     return 0

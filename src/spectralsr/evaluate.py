@@ -28,10 +28,6 @@ from .signals import (
 
 PSNR_CAP_DB = 150.0
 
-# estimators that take only a signal and a model order
-CLASSICAL_METHODS = ("periodogram", "music", "omp")
-METHODS = CLASSICAL_METHODS + ("model",)
-
 
 def psnr(estimate, target):
     """10 log10(max(target)^2 / MSE), capped at 150 dB.
@@ -88,19 +84,16 @@ def omp_spectrum(result, n_grid):
     return out
 
 
-def classical_spectrum(name, signal, order, n_grid):
-    """Spectrum of ``signal`` on ``n_grid`` bins by one of ``CLASSICAL_METHODS``.
-
-    ``order`` is the component count music and omp assume; the
-    periodogram ignores it.
-    """
-    if name == "periodogram":
-        return periodogram(signal, n_fft=n_grid)
-    if name == "music":
-        return music(signal, order=order, m=len(signal) // 2, n_grid=n_grid)
-    if name == "omp":
-        return omp_spectrum(omp(signal, n_grid, sparsity=order), n_grid)
-    raise ValueError(f"unknown method {name!r}")
+# name -> (signal, order, n_grid) -> spectrum; ``order`` is the component
+# count music and omp assume.  Each name is looked up at call time, so
+# wrappers installed on this module see every call.
+ESTIMATORS = {
+    "periodogram": lambda signal, order, n_grid: periodogram(signal, n_fft=n_grid),
+    "music": lambda signal, order, n_grid: music(signal, order, n_grid=n_grid),
+    "omp": lambda signal, order, n_grid: omp_spectrum(omp(signal, n_grid, order), n_grid),
+}
+CLASSICAL_METHODS = tuple(ESTIMATORS)
+METHODS = CLASSICAL_METHODS + ("model",)
 
 
 def make_method(name, n_grid, checkpoint=None):
@@ -110,8 +103,9 @@ def make_method(name, n_grid, checkpoint=None):
     as ``checkpoint``.  music and omp take the true component count as a
     priori knowledge, so the callable signature is (signal, scene).
     """
-    if name in CLASSICAL_METHODS:
-        return lambda signal, scene: classical_spectrum(name, signal, scene.count, n_grid)
+    if name in ESTIMATORS:
+        estimator = ESTIMATORS[name]
+        return lambda signal, scene: estimator(signal, scene.count, n_grid)
     if name == "model":
         if checkpoint is None:
             raise ValueError("the model method needs a loaded checkpoint")
@@ -119,6 +113,16 @@ def make_method(name, n_grid, checkpoint=None):
 
         return lambda signal, scene: model_forward(signal, checkpoint)
     raise ValueError(f"unknown method {name!r}")
+
+
+def _csv(header, columns):
+    """CSV text: ``header``, then one row per position of the equal-length
+    ``columns`` (``ValueError`` if they are not), each value as ``repr(float(value))``."""
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for row in zip(*columns, strict=True):
+        buf.write(",".join(repr(float(v)) for v in row) + "\n")
+    return buf.getvalue()
 
 
 @dataclass
@@ -132,6 +136,7 @@ class ExperimentReport:
     config: dict = field(default_factory=dict)
     seed: int = 0
     errors: dict = field(default_factory=dict)  # method -> failed-trial count
+    failures: dict = field(default_factory=dict)  # method -> "<ExcType>: <message>", first failure
 
     def to_json(self):
         """Strict JSON: an undefined curve point (every trial of the method
@@ -147,109 +152,81 @@ class ExperimentReport:
             "config": json_safe(self.config),
             "seed": self.seed,
             "errors": dict(sorted(self.errors.items())),
-            "version": 1,
+            "failures": dict(sorted(self.failures.items())),
+            "version": 2,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self):
         methods = sorted(self.curves)
-        buf = io.StringIO()
-        buf.write(",".join(["x"] + methods) + "\n")
-        for i, x in enumerate(self.x_values):
-            row = [repr(float(x))] + [repr(float(self.curves[m][i])) for m in methods]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        return _csv(["x"] + methods, [self.x_values] + [self.curves[m] for m in methods])
 
 
-def _trial_streams(seed, count):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
-def resolution_sweep(
-    methods,
-    separations=None,
-    snr_db=20.0,
-    trials=200,
-    n=64,
-    n_grid=4096,
-    seed=0,
-):
-    """Resolution probability of two-tone scenes versus separation.
-
-    Separations are in units of 1/n_grid; each trial draws a random base
-    frequency and random phases for the two unit-amplitude tones.
-    """
-    if separations is None:
-        separations = [0.3 + 0.1 * i for i in range(8)]  # 0.3 .. 1.0
+def _paired_trials(experiment, methods, x_values, trials, seed, key, draw, score, config):
+    """Mean of ``score(method(signal, scene), truth)`` per method and x value,
+    every method run on the same ``draw(x, rng)`` of each trial stream spawned
+    from ``[seed, key(x)]``.  A trial whose call or score raises is a failure
+    of that method; a point where every trial failed is NaN."""
     curves = {name: [] for name in methods}
     errors = {name: 0 for name in methods}
-    for sep in separations:
-        delta = sep / n_grid
-        hits = {name: 0 for name in methods}
-        counts = {name: 0 for name in methods}
-        for rng in _trial_streams([seed, int(round(sep * 1000))], trials):
-            f1 = float(rng.uniform(-0.5, 0.5))
-            f2 = wrapped_midpoint(f1, f1 + 2 * delta)  # i.e. f1 + delta, wrapped
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=2)
-            scene = FrequencyScene([f1, f2], np.exp(1j * phases))
-            signal = synthesize(scene, n, snr_db, rng)
+    failures = {}
+    for x in x_values:
+        scores = {name: [] for name in methods}
+        for stream in np.random.SeedSequence([seed, key(x)]).spawn(trials):
+            rng = np.random.default_rng(stream)
+            signal, scene, truth = draw(x, rng)
             for name, method in methods.items():
                 try:
-                    spec = method(signal, scene)
-                except Exception:
+                    scores[name].append(score(method(signal, scene), truth))
+                except Exception as exc:
                     errors[name] += 1
-                    continue
-                hits[name] += resolution_decision(spec, f1, f2)
-                counts[name] += 1
+                    failures.setdefault(name, f"{type(exc).__name__}: {exc}")
         for name in methods:
-            curves[name].append(hits[name] / counts[name] if counts[name] else float("nan"))
-    return ExperimentReport(
-        experiment="resolution",
-        x_values=list(separations),
-        curves=curves,
-        trial_counts=[trials] * len(separations),
+            curves[name].append(float(np.mean(scores[name])) if scores[name] else float("nan"))
+    return ExperimentReport(experiment, list(x_values), curves, [trials] * len(x_values),
+                            config, seed, errors, failures)
+
+
+def resolution_sweep(methods, separations=None, snr_db=20.0, trials=200, n=64, n_grid=4096, seed=0):
+    """Resolution probability of two-tone scenes versus separation.
+
+    Separations are in units of 1/n_grid; the default runs from 0.25/n to
+    2/n, a quarter to twice the Rayleigh limit.  Each trial draws a random
+    base frequency and random phases for the two unit-amplitude tones.
+    """
+    if separations is None:
+        separations = [k * n_grid / (4 * n) for k in range(1, 9)]
+
+    def draw(sep, rng):
+        f1 = float(rng.uniform(-0.5, 0.5))
+        f2 = wrapped_midpoint(f1, f1 + 2 * (sep / n_grid))  # i.e. f1 + sep/n_grid, wrapped
+        scene = FrequencyScene([f1, f2], np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2)))
+        return synthesize(scene, n, snr_db, rng), scene, (f1, f2)
+
+    return _paired_trials(
+        "resolution", methods, separations, trials, seed,
+        key=lambda sep: int(round(sep * 1000)),
+        draw=draw,
+        score=lambda spectrum, tones: resolution_decision(spectrum, *tones),
         config={"snr_db": snr_db, "n": n, "n_grid": n_grid, "trials": trials},
-        seed=seed,
-        errors=errors,
     )
 
 
-def psnr_vs_snr(
-    methods,
-    snr_grid=None,
-    trials=200,
-    n=64,
-    n_grid=4096,
-    seed=0,
-    scene_cfg=None,
-):
+def psnr_vs_snr(methods, snr_grid=None, trials=200, n=64, n_grid=4096, seed=0):
     """Mean reconstruction PSNR per SNR point, paired across methods."""
     if snr_grid is None:
         snr_grid = list(range(-10, 45, 5))
-    scene_cfg = scene_cfg or SceneConfig(n_sr=n_grid)
-    curves = {name: [] for name in methods}
-    errors = {name: 0 for name in methods}
-    for snr_db in snr_grid:
-        sums = {name: [] for name in methods}
-        for rng in _trial_streams([seed, int(snr_db) + 1000], trials):
-            scene = sample_scene(rng, scene_cfg)
-            signal = synthesize(scene, n, snr_db, rng)
-            target = render_target(scene, n_grid)
-            for name, method in methods.items():
-                try:
-                    sums[name].append(psnr(method(signal, scene), target))
-                except Exception:
-                    errors[name] += 1
-        for name in methods:
-            curves[name].append(float(np.mean(sums[name])) if sums[name] else float("nan"))
-    return ExperimentReport(
-        experiment="psnr_vs_snr",
-        x_values=list(snr_grid),
-        curves=curves,
-        trial_counts=[trials] * len(snr_grid),
+
+    def draw(snr_db, rng):
+        scene = sample_scene(rng, SceneConfig(n_sr=n_grid))
+        return synthesize(scene, n, snr_db, rng), scene, render_target(scene, n_grid)
+
+    return _paired_trials(
+        "psnr_vs_snr", methods, snr_grid, trials, seed,
+        key=lambda snr_db: int(snr_db) + 1000,
+        draw=draw,
+        score=lambda estimate, target: psnr(estimate, target),
         config={"n": n, "n_grid": n_grid, "trials": trials},
-        seed=seed,
-        errors=errors,
     )
 
 
@@ -279,13 +256,9 @@ def sidelobe_experiment(
             scene = FrequencyScene([f1, f2], np.ones(2, dtype=np.complex128))
             signal = synthesize(scene, n, snr_db, rng)
             names = sorted(methods)
-            spectra = {name: methods[name](signal, scene) for name in names}
-            buf = io.StringIO()
-            buf.write(",".join(["frequency"] + names + ["truth_f1", "truth_f2"]) + "\n")
-            for k in range(n_grid):
-                row = [repr(float(grid[k]))]
-                row += [repr(float(spectra[name][k])) for name in names]
-                row += [repr(float(f1)), repr(float(f2))]
-                buf.write(",".join(row) + "\n")
-            outputs[f"sep{sep}_snr{snr_db:g}dB"] = buf.getvalue()
+            spectra = [methods[name](signal, scene) for name in names]
+            outputs[f"sep{sep}_snr{snr_db:g}dB"] = _csv(
+                ["frequency"] + names + ["truth_f1", "truth_f2"],
+                [grid] + spectra + [[f1] * n_grid, [f2] * n_grid],
+            )
     return outputs

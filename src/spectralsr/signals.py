@@ -297,6 +297,8 @@ def read_dataset(path):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     count, length = reader.unpack("II", "count/length header")
+    if count != len(scenes):
+        raise ValueError(f"{path}: {len(scenes)} scenes in the header, {count} signals in the payload")
     signals = reader.array(np.complex128, (count, length), "payload")
     reader.end()
     meta = {k: v for k, v in meta.items() if k not in ("version", "scenes")}

@@ -19,6 +19,9 @@ from .evaluate import psnr
 from .model import model_forward, model_forward_tensor, save_checkpoint
 from .signals import SceneConfig, minmax_normalize, render_target, sample_scene, synthesize
 
+VALIDATION_SNR_DB = 20.0
+VALIDATION_SEED = 1234
+
 
 @dataclass
 class TrainConfig:
@@ -106,13 +109,13 @@ def _mse_loss(store, inputs, targets):
     return (diff * diff).mean()
 
 
-def validation_psnr(store, scenes, sigma_f, snr_db=20.0, seed=1234):
-    """Mean PSNR of the model on held-out scenes at a fixed SNR."""
+def validation_psnr(store, scenes, sigma_f):
+    """Mean PSNR of the model on held-out scenes at ``VALIDATION_SNR_DB``."""
     model_cfg = store.config
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([VALIDATION_SEED]))
     values = []
     for scene in scenes:
-        signal = synthesize(scene, model_cfg.n, snr_db, rng)
+        signal = synthesize(scene, model_cfg.n, VALIDATION_SNR_DB, rng)
         estimate = model_forward(signal, store)
         target = render_target(scene, model_cfg.n_sr, sigma_f)
         values.append(psnr(estimate, target))

@@ -3,9 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from spectralsr.classical import music, omp, periodogram
 from spectralsr.cli import main
+from spectralsr.evaluate import make_method, omp_spectrum
 from spectralsr.model import init_model, load_checkpoint, micro_config, save_checkpoint
-from spectralsr.signals import DATASET_MAGIC, read_dataset, read_records, write_records
+from spectralsr.signals import (
+    DATASET_MAGIC,
+    Dataset,
+    FrequencyScene,
+    read_dataset,
+    read_records,
+    write_dataset,
+    write_records,
+)
 
 
 def run(argv):
@@ -134,6 +144,27 @@ def test_baseline_runs_all_methods(tmp_path):
         spectra = read_records(out)
         assert spectra.shape == (2, 128)
         assert np.all(spectra.real >= 0)
+
+
+def test_baseline_and_make_method_dispatch_to_the_classical_estimators(tmp_path):
+    rng = np.random.default_rng(1)
+    sig = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+    n_grid, order = 128, 2
+    expected = {
+        "periodogram": lambda s, k: periodogram(s, n_fft=n_grid),
+        "music": lambda s, k: music(s, k, n_grid=n_grid),
+        "omp": lambda s, k: omp_spectrum(omp(s, n_grid, k), n_grid),
+    }
+    write_records(tmp_path / "sig.bin", sig)
+    for method, spectrum in expected.items():
+        out = tmp_path / f"{method}.bin"
+        assert run(["baseline", "--method", method, "--data", tmp_path / "sig.bin",
+                    "--out", out, "--n-grid", n_grid, "--order", order]) == 0
+        np.testing.assert_array_equal(read_records(out), [spectrum(s, order) for s in sig])
+        scene = FrequencyScene([0.1, 0.2, 0.3], np.ones(3))
+        np.testing.assert_array_equal(
+            make_method(method, n_grid)(sig[0], scene), spectrum(sig[0], scene.count)
+        )
 
 
 def test_baseline_bad_input_exits_1(tmp_path):
@@ -307,8 +338,14 @@ def test_directory_path_exits_1_with_one_line(tmp_path, capsys, command):
     ["compare", "--methods", "omp", "--experiment", "resolution", "--trials", 0],
     ["baseline", "--method", "music", "--data", "{dir}/s.bin", "--n-grid", 0],
     ["generate", "--n", 1, "--n-sr", 0],
+    ["generate", "--n", 0],
+    ["generate", "--n", 1, "--signal-dim", 0],
+    ["generate", "--n", 1, "--l-min", 0],
+    ["generate", "--n", 1, "--l-max", 0],
+    ["compare", "--methods", "omp", "--experiment", "resolution", "--n", 0],
 ], ids=["compare-n-grid-0", "compare-n-grid-negative", "compare-trials-0", "baseline-n-grid-0",
-        "generate-n-sr-0"])
+        "generate-n-sr-0", "generate-n-0", "generate-signal-dim-0", "generate-l-min-0",
+        "generate-l-max-0", "compare-n-0"])
 def test_grid_size_and_trials_below_one_are_usage_errors(command, tmp_path, capsys):
     write_records(tmp_path / "s.bin", np.ones((1, 8), dtype=complex))
     argv = [str(a).format(dir=tmp_path) for a in command] + ["--out", tmp_path / "x"]
@@ -335,3 +372,24 @@ def test_eval_header_with_bad_n_sr_exits_1_with_one_line(tmp_path, capsys, n_sr)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(data) in err and "n_sr" in err
+
+
+def test_generate_l_min_above_l_max_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "d.bin"
+    assert run(["generate", "--n", 1, "--l-min", 5, "--l-max", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "--l-min 5 exceeds --l-max 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenes, signals", [(2, 5), (0, 0)], ids=["count-mismatch", "empty"])
+def test_eval_dataset_without_one_scene_per_signal_exits_1_with_one_line(
+    tmp_path, capsys, scenes, signals
+):
+    data = tmp_path / "d.bin"
+    scene = FrequencyScene([0.1], [1.0])
+    write_dataset(data, Dataset([scene] * scenes, np.ones((signals, 8), complex), {"n_sr": 32}))
+    assert run(["eval", "--data", data]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data) in err

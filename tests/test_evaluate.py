@@ -145,6 +145,15 @@ class TestExperiments:
         assert hi >= 0.9
         assert report.errors["periodogram"] == 0
 
+    def test_resolution_sweep_default_separations_span_the_rayleigh_limit(self):
+        # the defaults are 0.25/n .. 2/n; at twice the Rayleigh limit the
+        # periodogram resolves almost every trial
+        report = resolution_sweep(
+            {"periodogram": make_method("periodogram", 512)}, trials=20, n=32, n_grid=512, seed=0
+        )
+        assert report.x_values == [4.0 * k for k in range(1, 9)]
+        assert report.curves["periodogram"][-1] >= 0.9
+
     def test_resolution_sweep_is_reproducible(self):
         kw = dict(separations=[0.5], trials=10, n=32, n_grid=256, seed=5)
         a = resolution_sweep({"periodogram": make_method("periodogram", 256)}, **kw)
@@ -178,6 +187,10 @@ class TestExperiments:
         assert report.errors["broken"] == 5
         assert np.isnan(report.curves["broken"][0])
         assert report.errors["periodogram"] == 0
+        assert report.failures == {"broken": "RuntimeError: boom"}
+        payload = json.loads(report.to_json())
+        assert payload["failures"] == {"broken": "RuntimeError: boom"}
+        assert payload["version"] == 2
 
     def test_json_writes_null_for_an_undefined_point(self):
         def broken(signal, scene):
@@ -223,4 +236,7 @@ class TestExperiments:
             seed=3,
         )
         assert report.errors == {"diverged": 4, "periodogram": 0}
+        assert report.failures == {
+            "diverged": "ValueError: PSNR undefined for an estimate with a non-finite value"
+        }
         assert json.loads(report.to_json())["curves"]["diverged"] == [None]
