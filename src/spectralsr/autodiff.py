@@ -25,7 +25,6 @@ import contextlib
 import contextvars
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = ["Tensor", "no_grad", "where", "softmax", "modulus", "conv1d", "conv_transpose1d"]
 
@@ -236,12 +235,6 @@ class Tensor:
 
         return Tensor(root, _parents=(self,), _backward=back)
 
-    def erf(self):
-        def back(g):
-            self._accumulate(g * (2.0 / np.sqrt(np.pi)) * np.exp(-self.data**2))
-
-        return Tensor(_erf(self.data), _parents=(self,), _backward=back)
-
     def relu(self):
         def back(g):
             self._accumulate(g * (self.data > 0.0))
@@ -350,10 +343,18 @@ def where(mask, a, b):
 
 
 def softmax(x, axis=-1):
-    """Numerically stable softmax along ``axis``."""
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis`` as one node.
+
+    Backward: ``y * (g - sum(g * y))``, the sum taken along ``axis``.
+    """
+    y = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+
+    def back(g):
+        x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return Tensor(y, _parents=(x,), _backward=back)
 
 
 def modulus(re, im, eps=1e-12):

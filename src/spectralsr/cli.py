@@ -104,7 +104,7 @@ def _build_parser():
     base.add_argument("--data", required=True, help="signal records file")
     base.add_argument("--out", required=True, help="spectrum records file")
     base.add_argument("--n-grid", type=_positive_int, default=4096)
-    base.add_argument("--order", type=int, default=1, help="model order for music/omp")
+    base.add_argument("--order", type=_positive_int, default=1, help="model order for music/omp")
     return parser
 
 
@@ -169,13 +169,13 @@ def _cmd_train(args):
     return 0
 
 
-def _make_methods(names, n_grid, checkpoint_path):
-    checkpoint = None
-    if "model" in names:
-        if checkpoint_path is None:
-            raise ConfigError("the model method requires --checkpoint")
-        checkpoint = load_checkpoint(checkpoint_path)
-    return {name: ev.make_method(name, n_grid, checkpoint) for name in names}
+def _load_model(names, checkpoint_path):
+    """The checkpoint behind the ``model`` method, or None if it is not named."""
+    if "model" not in names:
+        return None
+    if checkpoint_path is None:
+        raise ConfigError("the model method requires --checkpoint")
+    return load_checkpoint(checkpoint_path)
 
 
 def _cmd_eval(args):
@@ -185,7 +185,8 @@ def _cmd_eval(args):
         raise ValueError(f"{args.data}: header n_sr must be an integer of at least 1, got {n_sr!r}")
     if not data.scenes:
         raise ValueError(f"{args.data}: the dataset has no records")
-    method = _make_methods([args.method], n_sr, args.checkpoint)[args.method]
+    checkpoint = _load_model([args.method], args.checkpoint)
+    method = ev.make_method(args.method, n_sr, checkpoint)
     values = []
     for scene, signal in zip(data.scenes, data.signals):
         target = render_target(scene, n_sr)
@@ -212,7 +213,15 @@ def _cmd_compare(args):
     names = [s.strip() for s in args.methods.split(",") if s.strip()]
     if not names:
         raise ConfigError("--methods must name at least one method")
-    methods = _make_methods(names, args.n_grid, args.checkpoint)
+    checkpoint = _load_model(names, args.checkpoint)
+    if checkpoint is not None:
+        cfg = checkpoint.config
+        if (cfg.n, cfg.n_sr) != (args.n, args.n_grid):
+            raise ConfigError(
+                f"the checkpoint takes n = {cfg.n} samples onto n_sr = {cfg.n_sr} bins, "
+                f"but --n is {args.n} and --n-grid is {args.n_grid}"
+            )
+    methods = {name: ev.make_method(name, args.n_grid, checkpoint) for name in names}
     prefix = args.out or f"compare_{args.experiment}"
     if args.experiment == "sidelobe":
         outputs = ev.sidelobe_experiment(

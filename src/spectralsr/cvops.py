@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from .autodiff import Tensor, conv1d, modulus, no_grad, softmax, where
 
@@ -125,12 +126,27 @@ def cv_softmax(x, axis=-1, modulus_bias=None):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Standard layer norm over the last axis for real tensors."""
-    mu = x.mean(axis=-1, keepdims=True)
-    c = x - mu
-    var = (c * c).mean(axis=-1, keepdims=True)
-    xhat = c / (var + eps).sqrt()
-    return xhat * gamma + beta
+    """Standard layer norm over the last axis for real tensors, as one node.
+
+    With ``xhat = (x - mean) * rstd`` and ``gh = g * gamma``, backward is
+    ``rstd * (gh - mean(gh) - xhat * mean(gh * xhat))`` for ``x``,
+    ``sum(g * xhat)`` for ``gamma`` and ``sum(g)`` for ``beta``.
+    """
+    scale = 1.0 / x.shape[-1]
+    c = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    std = np.sqrt((c * c).sum(axis=-1, keepdims=True) * scale + eps)
+    xhat = c / std
+    rstd = 1.0 / std
+
+    def back(g):
+        gh = g * gamma.data
+        mean_gh = gh.sum(axis=-1, keepdims=True) * scale
+        mean_ghx = (gh * xhat).sum(axis=-1, keepdims=True) * scale
+        x._accumulate(rstd * (gh - mean_gh - xhat * mean_ghx))
+        gamma._accumulate(g * xhat)
+        beta._accumulate(g)
+
+    return Tensor(xhat * gamma.data + beta.data, _parents=(x, gamma, beta), _backward=back)
 
 
 @dataclass
@@ -174,9 +190,18 @@ def cv_layer_norm(x, affine=None, eps=1e-5):
 
 
 def prelu(x, slope):
-    """PReLU with a learnable negative slope."""
-    neg = x - x.relu()
-    return x.relu() + slope * neg
+    """PReLU with a learnable negative slope, as one node.
+
+    Backward: ``g * (1 if x > 0 else slope)`` for ``x`` and
+    ``sum(g * min(x, 0))`` for ``slope``.
+    """
+    neg = np.minimum(x.data, 0.0)
+
+    def back(g):
+        x._accumulate(g * np.where(x.data > 0.0, 1.0, slope.data))
+        slope._accumulate(g * neg)
+
+    return Tensor(np.maximum(x.data, 0.0) + slope.data * neg, _parents=(x, slope), _backward=back)
 
 
 def cprelu(x, slope_re, slope_im):
@@ -185,8 +210,18 @@ def cprelu(x, slope_re, slope_im):
 
 
 def gelu(x):
-    """Exact (erf-based) GELU."""
-    return x * 0.5 * ((x * (1.0 / np.sqrt(2.0))).erf() + 1.0)
+    """Exact (erf-based) GELU ``x * Phi(x)`` as one node.
+
+    Backward: ``g * (Phi(x) + x * phi(x))``, with ``Phi`` from the forward
+    ``erf`` call and ``phi`` the standard normal density.
+    """
+    cdf2 = erf(x.data * (1.0 / np.sqrt(2.0))) + 1.0  # 2 * Phi(x)
+
+    def back(g):
+        density = np.exp(-0.5 * x.data**2) * (1.0 / np.sqrt(2.0 * np.pi))
+        x._accumulate(g * (0.5 * cdf2 + x.data * density))
+
+    return Tensor(x.data * 0.5 * cdf2, _parents=(x,), _backward=back)
 
 
 def window_partition(x, window):

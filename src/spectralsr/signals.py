@@ -36,6 +36,8 @@ class FrequencyScene:
         self.amps = np.atleast_1d(np.asarray(self.amps, dtype=np.complex128))
         if self.freqs.shape != self.amps.shape:
             raise ValueError("freqs and amps must have matching lengths")
+        if not np.all(np.isfinite(self.freqs)):
+            raise ValueError("frequencies must be finite")
         if self.count < 1:
             raise ValueError("a scene needs at least one component")
 
@@ -114,17 +116,35 @@ def spectrum_grid(n_sr):
     return -0.5 + np.arange(n_sr) / n_sr
 
 
+# float64 exp returns exactly 0.0 below an exponent of about -745.13
+_EXP_UNDERFLOW = 746.0
+
+
 def render_target(scene, n_sr, sigma_f=None):
-    """Ground-truth spectrum: sum of wrapped Gaussians of height |amp|."""
+    """Ground-truth spectrum: sum of wrapped Gaussians of height |amp|.
+
+    Each tone is evaluated only on the bins within ``sqrt(2 * 746)``
+    sigmas of it (all bins if that window would reach ``n_sr``).  Further
+    out its Gaussian is exactly 0.0 in float64, and ``np.add.at`` adds the
+    tones to each bin in tone order, so the result has the same bits as a
+    sum of every tone over every bin.
+    """
     if sigma_f is None:
         sigma_f = 0.12 / n_sr
-    if sigma_f <= 0:
-        raise ValueError("sigma_f must be positive")
-    grid = spectrum_grid(n_sr)
+    if not sigma_f > 0:
+        raise ValueError(f"sigma_f must be positive, got {sigma_f}")
+    reach = sigma_f * math.sqrt(2.0 * _EXP_UNDERFLOW) * n_sr  # in bins
+    # +2 bins: one for rounding each tone to its nearest bin, one of margin
+    radius = math.floor(min(reach, n_sr)) + 2
+    if 2 * radius + 1 < n_sr:
+        nearest = np.rint((scene.freqs[:, None] + 0.5) * n_sr).astype(np.int64)
+        bins = (nearest + np.arange(-radius, radius + 1)) % n_sr
+    else:
+        bins = np.broadcast_to(np.arange(n_sr), (scene.count, n_sr))
+    d = wrapped_distance(spectrum_grid(n_sr)[bins], scene.freqs[:, None])
+    values = np.abs(scene.amps)[:, None] * np.exp(-(d**2) / (2.0 * sigma_f**2))
     out = np.zeros(n_sr)
-    for f, a in zip(scene.freqs, scene.amps):
-        d = wrapped_distance(grid, f)
-        out += np.abs(a) * np.exp(-(d**2) / (2.0 * sigma_f**2))
+    np.add.at(out, bins.ravel(), values.ravel())
     return out
 
 

@@ -109,16 +109,22 @@ def _mse_loss(store, inputs, targets):
     return (diff * diff).mean()
 
 
-def validation_psnr(store, scenes, sigma_f):
-    """Mean PSNR of the model on held-out scenes at ``VALIDATION_SNR_DB``."""
+def validation_psnr(store, scenes, train_cfg):
+    """Mean PSNR of the model on held-out scenes at ``VALIDATION_SNR_DB``.
+
+    The model runs on stacked signals, ``train_cfg.batch`` scenes per call.
+    """
     model_cfg = store.config
     rng = np.random.default_rng(np.random.SeedSequence([VALIDATION_SEED]))
-    values = []
-    for scene in scenes:
-        signal = synthesize(scene, model_cfg.n, VALIDATION_SNR_DB, rng)
-        estimate = model_forward(signal, store)
-        target = render_target(scene, model_cfg.n_sr, sigma_f)
-        values.append(psnr(estimate, target))
+    signals = np.stack([synthesize(s, model_cfg.n, VALIDATION_SNR_DB, rng) for s in scenes])
+    estimates = np.concatenate([
+        model_forward(signals[i : i + train_cfg.batch], store)
+        for i in range(0, len(scenes), train_cfg.batch)
+    ])
+    values = [
+        psnr(estimate, render_target(scene, model_cfg.n_sr, train_cfg.sigma_f))
+        for scene, estimate in zip(scenes, estimates)
+    ]
     return float(np.mean(values))
 
 
@@ -175,9 +181,7 @@ def train(store, train_cfg, scenes=None, val_scenes=None):
             history.epoch_seconds.append(time.perf_counter() - tic)
             tic = time.perf_counter()
             if val_scenes:
-                history.val_psnr.append(
-                    validation_psnr(store, val_scenes, train_cfg.sigma_f)
-                )
+                history.val_psnr.append(validation_psnr(store, val_scenes, train_cfg))
             if (
                 train_cfg.checkpoint_every
                 and train_cfg.checkpoint_path

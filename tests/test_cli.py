@@ -343,9 +343,11 @@ def test_directory_path_exits_1_with_one_line(tmp_path, capsys, command):
     ["generate", "--n", 1, "--l-min", 0],
     ["generate", "--n", 1, "--l-max", 0],
     ["compare", "--methods", "omp", "--experiment", "resolution", "--n", 0],
+    ["baseline", "--method", "music", "--data", "{dir}/s.bin", "--order", 0],
+    ["baseline", "--method", "omp", "--data", "{dir}/s.bin", "--order", -1],
 ], ids=["compare-n-grid-0", "compare-n-grid-negative", "compare-trials-0", "baseline-n-grid-0",
         "generate-n-sr-0", "generate-n-0", "generate-signal-dim-0", "generate-l-min-0",
-        "generate-l-max-0", "compare-n-0"])
+        "generate-l-max-0", "compare-n-0", "baseline-order-0", "baseline-order-negative"])
 def test_grid_size_and_trials_below_one_are_usage_errors(command, tmp_path, capsys):
     write_records(tmp_path / "s.bin", np.ones((1, 8), dtype=complex))
     argv = [str(a).format(dir=tmp_path) for a in command] + ["--out", tmp_path / "x"]
@@ -393,3 +395,23 @@ def test_eval_dataset_without_one_scene_per_signal_exits_1_with_one_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(data) in err
+
+
+@pytest.mark.parametrize("experiment", ["psnr", "sidelobe", "resolution"])
+@pytest.mark.parametrize("n, n_grid", [(64, 32), (8, 64)], ids=["n", "n-grid"])
+def test_compare_checkpoint_of_another_size_is_a_usage_error(
+    tmp_path, capsys, experiment, n, n_grid
+):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(init_model(micro_config(), np.random.default_rng(0)), ckpt)  # n 8, n_sr 32
+    out = tmp_path / "c"
+    code = run(["compare", "--methods", "model,periodogram", "--checkpoint", ckpt,
+                "--experiment", experiment, "--n", n, "--n-grid", n_grid, "--trials", 2,
+                "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    line = next(x for x in err.splitlines() if x.startswith("error: "))
+    assert "n = 8" in line and "n_sr = 32" in line
+    assert f"--n is {n}" in line and f"--n-grid is {n_grid}" in line
+    assert not list(tmp_path.glob("c*"))

@@ -1,0 +1,115 @@
+"""The one-node softmax, layer norm, GELU and PReLU against the composite
+expressions they replace, written out here from elementwise tape ops."""
+
+import numpy as np
+import pytest
+from scipy.special import erf
+
+from spectralsr.autodiff import Tensor, softmax
+from spectralsr.cvops import gelu, grad_check, layer_norm, prelu
+
+
+def erf_node(x):
+    def back(g):
+        x._accumulate(g * (2.0 / np.sqrt(np.pi)) * np.exp(-x.data**2))
+
+    return Tensor(erf(x.data), _parents=(x,), _backward=back)
+
+
+def softmax_composite(x, axis=-1):
+    e = (x - np.max(x.data, axis=axis, keepdims=True)).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def layer_norm_composite(x, gamma, beta, eps=1e-5):
+    c = x - x.mean(axis=-1, keepdims=True)
+    var = (c * c).mean(axis=-1, keepdims=True)
+    return c / (var + eps).sqrt() * gamma + beta
+
+
+def gelu_composite(x):
+    return x * 0.5 * (erf_node(x * (1.0 / np.sqrt(2.0))) + 1.0)
+
+
+def prelu_composite(x, slope):
+    return x.relu() + slope * (x - x.relu())
+
+
+def forward_and_grads(op, arrays, proj):
+    """Output and the gradient of ``sum(op(*leaves) * proj)`` per leaf."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    (out * proj).sum().backward()
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def assert_same_node(fused, composite, arrays, seed=0):
+    rng = np.random.default_rng(seed)
+    proj = rng.normal(size=np.broadcast_shapes(*(a.shape for a in arrays)))
+    got, got_grads = forward_and_grads(fused, arrays, proj)
+    ref, ref_grads = forward_and_grads(composite, arrays, proj)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for g, r in zip(got_grads, ref_grads):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_fused_nodes_record_one_tape_entry():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    gamma, beta, slope = (Tensor(np.ones(3), requires_grad=True) for _ in range(3))
+    for out in (softmax(x), layer_norm(x, gamma, beta), gelu(x), prelu(x, slope)):
+        assert all(parent._parents == () for parent in out._parents)
+
+
+def test_softmax_matches_composite_on_masked_and_extreme_rows():
+    rng = np.random.default_rng(1)
+    logits = rng.normal(size=(4, 3, 8)) * 3.0
+    logits[0, :, 5:] = -1e9                       # masked keys, as in shifted attention
+    logits[1, 0] = [700.0, -700.0] * 4            # logits of +-700
+    logits[1, 1] = -700.0
+    logits[2, 2] = np.where(np.arange(8) % 3 == 0, 0.0, -1e9)
+    mask = np.zeros((3, 8))
+    mask[1, 4:] = -1e9
+    assert_same_node(lambda x: softmax(x + mask), lambda x: softmax_composite(x + mask), [logits])
+    assert_same_node(lambda x: softmax(x, axis=1), lambda x: softmax_composite(x, axis=1), [logits])
+
+
+def test_layer_norm_matches_composite_with_a_constant_row():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(2, 5, 6)) * 4.0 + 1.0
+    x[0, 2] = 3.25                                 # constant row: zero variance
+    gamma, beta = rng.normal(size=6), rng.normal(size=6)
+    assert_same_node(layer_norm, layer_norm_composite, [x, gamma, beta])
+
+
+def test_gelu_matches_composite_on_negative_zero_and_positive_inputs():
+    x = np.concatenate([np.linspace(-8.0, 8.0, 33), [-40.0, -1e-300, 0.0, 1e-300, 40.0]])
+    assert 0.0 in x
+    assert_same_node(gelu, gelu_composite, [x.reshape(2, 19)])
+
+
+@pytest.mark.parametrize("slope", [0.25, -0.5, 0.0])
+def test_prelu_matches_composite_on_negative_zero_and_positive_inputs(slope):
+    x = np.array([[-3.0, -1e-3, 0.0, 1e-3, 2.5], [0.0, -7.0, 4.0, -0.0, 1.0]])
+    assert_same_node(prelu, prelu_composite, [x, np.array(slope)])
+
+
+def test_fused_nodes_pass_grad_check_on_micro_shapes():
+    rng = np.random.default_rng(3)
+
+    def leaf(*shape, scale=1.0):
+        return Tensor(rng.normal(size=shape) * scale, requires_grad=True)
+
+    mask = np.where(rng.normal(size=(3, 4)) > 0.5, -1e9, 0.0)
+    cases = []
+    x = leaf(2, 3, 4, scale=2.0)
+    cases.append(([x], lambda x=x: softmax(x + mask)))
+    x, gamma, beta = leaf(2, 3, 4), leaf(4), leaf(4)
+    cases.append(([x, gamma, beta], lambda x=x, g=gamma, b=beta: layer_norm(x, g, b)))
+    x = leaf(3, 4, scale=2.0)
+    cases.append(([x], lambda x=x: gelu(x)))
+    x, slope = leaf(3, 4), Tensor(0.25, requires_grad=True)
+    cases.append(([x, slope], lambda x=x, s=slope: prelu(x, s)))
+    for leaves, op in cases:
+        proj = rng.normal(size=op().shape)
+        assert grad_check(lambda op=op, proj=proj: (op() * proj).sum(), leaves) < 1e-4

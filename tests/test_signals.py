@@ -109,6 +109,44 @@ def test_render_target_wraps_across_band_edge():
     assert target[-1] == pytest.approx(target[1], rel=1e-10)
 
 
+def dense_target(scene, n_sr, sigma_f):
+    """Every tone's Gaussian over every bin, summed in tone order."""
+    out = np.zeros(n_sr)
+    for f, a in zip(scene.freqs, scene.amps):
+        d = wrapped_distance(spectrum_grid(n_sr), f)
+        out += np.abs(a) * np.exp(-(d**2) / (2.0 * sigma_f**2))
+    return out
+
+
+@pytest.mark.parametrize("n_sr", [8, 255, 256, 4096])
+@pytest.mark.parametrize("sigma_bins", [0.12, 1.5, 4.8, 600.0, np.inf])
+def test_render_target_equals_the_dense_sum_bit_for_bit(n_sr, sigma_bins):
+    # from 600 bins on, every grid's window reaches n_sr
+    rng = np.random.default_rng(n_sr)
+    sigma_f = sigma_bins / n_sr
+    edges = [-0.5, np.nextafter(0.5, 0.0), 0.5 - 0.25 / n_sr, -0.5 + 0.5 / n_sr]
+    for count in (1, 3, 10):
+        freqs = np.concatenate([edges, rng.uniform(-0.5, 0.5, count)])
+        amps = rng.uniform(0.1, 1.0, freqs.size) * np.exp(2j * np.pi * rng.uniform(size=freqs.size))
+        scene = FrequencyScene(freqs, amps)
+        expected = dense_target(scene, n_sr, sigma_f)
+        assert np.array_equal(render_target(scene, n_sr, sigma_f), expected)
+        if sigma_bins == 0.12:
+            assert np.array_equal(render_target(scene, n_sr), expected)
+
+
+@pytest.mark.parametrize("sigma_f", [0.0, -1e-3, np.nan])
+def test_render_target_rejects_a_sigma_that_is_not_positive(sigma_f):
+    with pytest.raises(ValueError, match="sigma_f must be positive"):
+        render_target(FrequencyScene([0.1], [1.0]), 64, sigma_f)
+
+
+def test_scene_rejects_non_finite_frequencies():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyScene([0.1, bad], [1.0, 1.0])
+
+
 def test_minmax_normalize_contract():
     rng = np.random.default_rng(3)
     x = rng.normal(size=16) + 1j * rng.normal(size=16)

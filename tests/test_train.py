@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from spectralsr.autodiff import Tensor
-from spectralsr.model import ParameterStore, init_model, load_checkpoint, micro_config
-from spectralsr.signals import SceneConfig, sample_scene
-from spectralsr.train import TrainConfig, adamw_step, make_batch, train
+from spectralsr.evaluate import psnr
+from spectralsr.model import ParameterStore, init_model, load_checkpoint, micro_config, model_forward
+from spectralsr.signals import SceneConfig, render_target, sample_scene, synthesize
+from spectralsr.train import (
+    VALIDATION_SEED,
+    VALIDATION_SNR_DB,
+    TrainConfig,
+    adamw_step,
+    make_batch,
+    train,
+    validation_psnr,
+)
 
 
 def micro_train_cfg(**kw):
@@ -146,3 +155,19 @@ class TestTrainLoop:
         _, hist = train(store, tc)
         assert len(hist.val_psnr) == 2
         assert all(np.isfinite(v) for v in hist.val_psnr)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_validation_psnr_equals_the_mean_of_per_scene_psnrs(batch):
+    cfg = micro_config()
+    store = init_model(cfg, np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    scenes = [sample_scene(rng, SceneConfig(n_sr=cfg.n_sr)) for _ in range(7)]
+    train_cfg = TrainConfig(batch=batch, sigma_f=1.5 / cfg.n_sr)
+    noise = np.random.default_rng(np.random.SeedSequence([VALIDATION_SEED]))
+    expected = np.mean([
+        psnr(model_forward(synthesize(scene, cfg.n, VALIDATION_SNR_DB, noise), store),
+             render_target(scene, cfg.n_sr, train_cfg.sigma_f))
+        for scene in scenes
+    ])
+    assert validation_psnr(store, scenes, train_cfg) == pytest.approx(expected, rel=1e-9)
