@@ -1,6 +1,6 @@
 """Spectral super-resolution toolkit.
 
-Classical line-spectra estimators (periodogram, MUSIC, OMP, AIC/SORTE),
+Classical line-spectra estimators (periodogram, MUSIC, OMP),
 complex-valued differentiable operators with a minimal reverse-mode
 engine, shifted-window attention models for spectrum reconstruction, a
 training loop, and Monte Carlo evaluation drivers.
@@ -9,8 +9,6 @@ training loop, and Monte Carlo evaluation drivers.
 from .autodiff import Tensor, no_grad
 from .classical import (
     OmpResult,
-    estimate_order_aic,
-    estimate_order_sorte,
     music,
     omp,
     periodogram,

@@ -28,6 +28,8 @@ import numpy as np
 
 __all__ = ["Tensor", "no_grad", "where", "softmax", "modulus", "conv1d", "conv_transpose1d"]
 
+ROOT_EPS = 1e-12  # sqrt and modulus floor their value at this in their derivatives
+
 _GRAD_ENABLED = contextvars.ContextVar("spectralsr_grad_enabled", default=True)
 
 
@@ -176,9 +178,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-Tensor._wrap(other))
 
-    def __rsub__(self, other):
-        return Tensor._wrap(other) + (-self)
-
     def __mul__(self, other):
         other = Tensor._wrap(other)
 
@@ -202,14 +201,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return Tensor._wrap(other) / self
 
-    def __pow__(self, p):
-        p = float(p)
-
-        def back(g):
-            self._accumulate(g * p * self.data ** (p - 1.0))
-
-        return Tensor(self.data**p, _parents=(self,), _backward=back)
-
     # -- transcendental ------------------------------------------------
 
     def exp(self):
@@ -220,18 +211,12 @@ class Tensor:
 
         return Tensor(e, _parents=(self,), _backward=back)
 
-    def log(self):
-        def back(g):
-            self._accumulate(g / self.data)
-
-        return Tensor(np.log(self.data), _parents=(self,), _backward=back)
-
-    def sqrt(self, eps=0.0):
-        """Square root; ``eps`` floors the derivative's denominator near zero."""
+    def sqrt(self):
+        """Square root; ``ROOT_EPS`` floors the derivative's denominator near zero."""
         root = np.sqrt(self.data)
 
         def back(g):
-            self._accumulate(g / (2.0 * np.maximum(root, eps) if eps else 2.0 * root))
+            self._accumulate(g / (2.0 * np.maximum(root, ROOT_EPS)))
 
         return Tensor(root, _parents=(self,), _backward=back)
 
@@ -268,9 +253,6 @@ class Tensor:
     # -- shape manipulation -------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-
         def back(g):
             self._accumulate(g.reshape(self.shape))
 
@@ -294,14 +276,6 @@ class Tensor:
             self._accumulate(np.roll(g, -shift, axis=axis))
 
         return Tensor(np.roll(self.data, shift, axis=axis), _parents=(self,), _backward=back)
-
-    def __getitem__(self, idx):
-        def back(g):
-            full = np.zeros_like(self.data)
-            full[idx] += g
-            self._accumulate(full)
-
-        return Tensor(self.data[idx], _parents=(self,), _backward=back)
 
     def gather_last(self, idx):
         """Fancy-index the last axis with an integer array (duplicates allowed)."""
@@ -357,10 +331,10 @@ def softmax(x, axis=-1):
     return Tensor(y, _parents=(x,), _backward=back)
 
 
-def modulus(re, im, eps=1e-12):
-    """sqrt(re^2 + im^2) with gradients floored at ``eps`` to stay bounded at 0."""
+def modulus(re, im):
+    """sqrt(re^2 + im^2) with gradients floored at ``ROOT_EPS`` to stay bounded at 0."""
     m = np.sqrt(re.data**2 + im.data**2)
-    denom = np.maximum(m, eps)
+    denom = np.maximum(m, ROOT_EPS)
 
     def back(g):
         re._accumulate(g * re.data / denom)
@@ -411,13 +385,11 @@ def conv_transpose1d(x, w, stride, crop=0):
         full[:, :, t : t + stride * m : stride] += np.einsum(
             "bcm,co->bom", xd, wd[:, :, t], optimize=True
         )
-    data = full[:, :, crop : full.shape[2] - crop] if crop else full
+    data = full[:, :, crop : full.shape[2] - crop]
 
     def back(g):
-        gf = g
-        if crop:
-            gf = np.zeros_like(full)
-            gf[:, :, crop : full.shape[2] - crop] = g
+        gf = np.zeros_like(full)
+        gf[:, :, crop : full.shape[2] - crop] = g
         taps = [gf[:, :, t : t + stride * m : stride] for t in range(k)]
         gx = np.zeros_like(xd)
         for t in range(k):

@@ -1,4 +1,4 @@
-"""Classical line-spectra baselines: periodogram, MUSIC, OMP, AIC/SORTE."""
+"""Classical line-spectra baselines: periodogram, MUSIC and OMP."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signals import spectrum_grid
-
-_WINDOWS = ("rect", "hann", "hamming")
 
 
 def _grid_dft(x, n_grid):
@@ -30,11 +28,10 @@ def _grid_dft(x, n_grid):
     return np.fft.fft(x, n_grid)
 
 
-def periodogram(signal, n_fft=None, window="rect"):
-    """Squared-magnitude windowed DFT on the grid f_k = -0.5 + k/n_fft.
+def periodogram(signal, n_fft=None):
+    """Squared-magnitude DFT on the grid f_k = -0.5 + k/n_fft, over n^2.
 
-    Normalized by the squared coherent gain so a unit-amplitude on-grid
-    tone with a rectangular window peaks at exactly 1.  Index 0 of the
+    A unit-amplitude on-grid tone peaks at exactly 1.  Index 0 of the
     output corresponds to f = -0.5 for even and odd ``n_fft`` alike.
     """
     signal = np.asarray(signal, dtype=np.complex128)
@@ -42,15 +39,7 @@ def periodogram(signal, n_fft=None, window="rect"):
     n_fft = n if n_fft is None else int(n_fft)
     if n_fft < n:
         raise ValueError("n_fft must be at least the signal length")
-    if window == "rect":
-        taper = np.ones(n)
-    elif window == "hann":
-        taper = np.hanning(n)
-    elif window == "hamming":
-        taper = np.hamming(n)
-    else:
-        raise ValueError(f"unknown window {window!r}; supported: {', '.join(_WINDOWS)}")
-    return np.abs(_grid_dft(taper * signal, n_fft)) ** 2 / taper.sum() ** 2
+    return np.abs(_grid_dft(signal, n_fft)) ** 2 / n**2
 
 
 def sample_covariance(signal, m):
@@ -148,45 +137,3 @@ def omp(signal, n_grid, sparsity):
         truncated=truncated,
         residual_history=history,
     )
-
-
-def estimate_order_aic(eigenvalues, n_snapshots):
-    """Wax-Kailath AIC order selection from descending eigenvalues."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    if len(lam) < 2:
-        raise ValueError("need at least 2 eigenvalues")
-    if np.any(lam <= 0):
-        raise ValueError("eigenvalues must be positive")
-    m = len(lam)
-    scores = np.empty(m)
-    for k in range(m):
-        tail = lam[k:]
-        geo = np.exp(np.mean(np.log(tail)))
-        arith = np.mean(tail)
-        scores[k] = -2.0 * n_snapshots * (m - k) * np.log(geo / arith) + 2.0 * k * (2 * m - k)
-    return int(np.argmin(scores))
-
-
-def estimate_order_sorte(eigenvalues):
-    """SORTE order selection: ratio of successive gap variances.
-
-    Returns (order, degenerate); degenerate is True when every candidate
-    ratio is undefined (all gap variances zero), in which case order is 0.
-    """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    m = len(lam)
-    if m < 4:
-        raise ValueError("SORTE needs at least 4 eigenvalues")
-    gaps = lam[:-1] - lam[1:]  # gaps[i] = lambda_i - lambda_{i+1}, i = 0..m-2
-
-    def var(x):
-        return float(np.var(x))
-
-    scores = []
-    for k in range(1, m - 2):  # k is the candidate order, 1-indexed as in lam
-        denom = var(gaps[k - 1 :])
-        scores.append(var(gaps[k:]) / denom if denom > 0 else np.inf)
-    scores = np.asarray(scores)
-    if not np.any(np.isfinite(scores)):
-        return 0, True
-    return int(np.argmin(scores)) + 1, False

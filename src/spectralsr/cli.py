@@ -41,10 +41,10 @@ class ConfigError(Exception):
 
 
 def _snr_db(text):
-    """An SNR in dB: any float but NaN (``inf`` means noiseless)."""
+    """An SNR in dB: a finite float, or ``inf`` for noiseless."""
     value = float(text)
-    if np.isnan(value):
-        raise argparse.ArgumentTypeError("SNR must be a number or inf, not nan")
+    if not (np.isfinite(value) or value == np.inf):
+        raise argparse.ArgumentTypeError(f"SNR must be a finite number or inf, not {value}")
     return value
 
 
@@ -178,6 +178,16 @@ def _load_model(names, checkpoint_path):
     return load_checkpoint(checkpoint_path)
 
 
+def _check_model_size(checkpoint, n, n_sr, given):
+    """``ConfigError`` unless the checkpoint (if any) maps ``n`` samples onto
+    ``n_sr`` bins; ``given`` says where ``n`` and ``n_sr`` came from."""
+    if checkpoint is not None and (checkpoint.config.n, checkpoint.config.n_sr) != (n, n_sr):
+        cfg = checkpoint.config
+        raise ConfigError(
+            f"the checkpoint takes n = {cfg.n} samples onto n_sr = {cfg.n_sr} bins, but {given}"
+        )
+
+
 def _cmd_eval(args):
     data = read_dataset(args.data)
     n_sr = data.meta.get("n_sr", 4096)
@@ -186,6 +196,9 @@ def _cmd_eval(args):
     if not data.scenes:
         raise ValueError(f"{args.data}: the dataset has no records")
     checkpoint = _load_model([args.method], args.checkpoint)
+    n = data.signals.shape[1]
+    _check_model_size(checkpoint, n, n_sr,
+                      f"{args.data} holds signals of n = {n} samples and n_sr = {n_sr} bins")
     method = ev.make_method(args.method, n_sr, checkpoint)
     values = []
     for scene, signal in zip(data.scenes, data.signals):
@@ -214,13 +227,8 @@ def _cmd_compare(args):
     if not names:
         raise ConfigError("--methods must name at least one method")
     checkpoint = _load_model(names, args.checkpoint)
-    if checkpoint is not None:
-        cfg = checkpoint.config
-        if (cfg.n, cfg.n_sr) != (args.n, args.n_grid):
-            raise ConfigError(
-                f"the checkpoint takes n = {cfg.n} samples onto n_sr = {cfg.n_sr} bins, "
-                f"but --n is {args.n} and --n-grid is {args.n_grid}"
-            )
+    _check_model_size(checkpoint, args.n, args.n_grid,
+                      f"--n is {args.n} and --n-grid is {args.n_grid}")
     methods = {name: ev.make_method(name, args.n_grid, checkpoint) for name in names}
     prefix = args.out or f"compare_{args.experiment}"
     if args.experiment == "sidelobe":

@@ -8,6 +8,7 @@ validation straightforward (see :func:`grad_check`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from scipy.special import erf
 from .autodiff import Tensor, conv1d, modulus, no_grad, softmax, where
 
 SOFTMAX_EPS = 1e-12  # below this modulus the phase is defined as 1
+NORM_EPS = 1e-5  # variance ridge of the real and complex layer norms
+MASK_NEG = -1e9  # additive attention logit of a masked pair
 
 
 @dataclass
@@ -44,15 +47,8 @@ class CTensor:
     def __add__(self, other):
         return CTensor(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other):
-        return CTensor(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other):
-        if isinstance(other, CTensor):
-            return CTensor(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+        """Scale both parts by a real constant or real tensor."""
         return CTensor(self.re * other, self.im * other)
 
     def reshape(self, *shape):
@@ -73,20 +69,25 @@ class CTensor:
     def __matmul__(self, other):
         return cmatmul(self, other)
 
-    def modulus(self, eps=SOFTMAX_EPS):
-        return modulus(self.re, self.im, eps=eps)
+    def modulus(self):
+        return modulus(self.re, self.im)
 
 
-def cmatmul(x, w):
-    """Complex matrix product via Gauss' three-multiplication trick.
+def _gauss(product, x, w):
+    """A real-bilinear ``product`` of complex ``x`` and ``w`` in three real products.
 
     Re(y) = k1 - k3, Im(y) = k1 + k2 with
     k1 = (Re x + Im x) Re w, k2 = Re x (Im w - Re w), k3 = Im x (Re w + Im w).
     """
-    k1 = (x.re + x.im) @ w.re
-    k2 = x.re @ (w.im - w.re)
-    k3 = x.im @ (w.re + w.im)
+    k1 = product(x.re + x.im, w.re)
+    k2 = product(x.re, w.im - w.re)
+    k3 = product(x.im, w.re + w.im)
     return CTensor(k1 - k3, k1 + k2)
+
+
+def cmatmul(x, w):
+    """Complex matrix product via Gauss' three-multiplication trick."""
+    return _gauss(operator.matmul, x, w)
 
 
 def cv_linear(x, weight, bias=None):
@@ -95,20 +96,17 @@ def cv_linear(x, weight, bias=None):
     return y if bias is None else y + bias
 
 
-def cv_conv1d(x, kernel, stride=1, padding=0):
+def cv_conv1d(x, kernel, padding=0):
     """Complex 1-D convolution, x [B, Cin, M], kernel [Cout, Cin, k].
 
     Uses the same three-product decomposition as :func:`cmatmul`; the
     identity holds for any bilinear product.
     """
-    k1 = conv1d(x.re + x.im, kernel.re, stride, padding)
-    k2 = conv1d(x.re, kernel.im - kernel.re, stride, padding)
-    k3 = conv1d(x.im, kernel.re + kernel.im, stride, padding)
-    return CTensor(k1 - k3, k1 + k2)
+    return _gauss(lambda a, b: conv1d(a, b, padding=padding), x, kernel)
 
 
-def cv_softmax(x, axis=-1, modulus_bias=None):
-    """Softmax on the moduli with phases carried through unchanged.
+def cv_softmax(x, modulus_bias=None):
+    """Softmax on the moduli, over the last axis, with phases carried through unchanged.
 
     Entries with modulus below ``SOFTMAX_EPS`` are treated as having phase 1
     (output is the real weight).  ``modulus_bias`` is an additive constant
@@ -117,7 +115,7 @@ def cv_softmax(x, axis=-1, modulus_bias=None):
     """
     m = x.modulus()
     logits = m if modulus_bias is None else m + np.asarray(modulus_bias, dtype=np.float64)
-    w = softmax(logits, axis=axis)
+    w = softmax(logits)
     small = m.data < SOFTMAX_EPS
     scale = w / m.clamp_min(SOFTMAX_EPS)
     out_re = where(small, w, scale * x.re)
@@ -125,7 +123,7 @@ def cv_softmax(x, axis=-1, modulus_bias=None):
     return CTensor(out_re, out_im)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Standard layer norm over the last axis for real tensors, as one node.
 
     With ``xhat = (x - mean) * rstd`` and ``gh = g * gamma``, backward is
@@ -134,7 +132,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     """
     scale = 1.0 / x.shape[-1]
     c = x.data - x.data.sum(axis=-1, keepdims=True) * scale
-    std = np.sqrt((c * c).sum(axis=-1, keepdims=True) * scale + eps)
+    std = np.sqrt((c * c).sum(axis=-1, keepdims=True) * scale + NORM_EPS)
     xhat = c / std
     rstd = 1.0 / std
 
@@ -149,44 +147,32 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return Tensor(xhat * gamma.data + beta.data, _parents=(x, gamma, beta), _backward=back)
 
 
-@dataclass
-class ComplexAffine:
-    """Per-channel 2x2 real matrix plus complex shift for complex layer norm."""
-
-    g_rr: Tensor
-    g_ri: Tensor
-    g_ir: Tensor
-    g_ii: Tensor
-    b_re: Tensor
-    b_im: Tensor
-
-
-def cv_layer_norm(x, affine=None, eps=1e-5):
+def cv_layer_norm(x, affine=None):
     """Whitening layer norm for complex tensors over the last (channel) axis.
 
     Subtracts the complex mean, then whitens the 2x2 covariance of
     (Re, Im) aggregated over channels with a closed-form inverse matrix
-    square root (ridge ``eps`` on the diagonal), then applies the
-    optional affine.
+    square root (ridge ``NORM_EPS`` on the diagonal), then applies the
+    optional affine: the per-channel tensors ``(g_rr, g_ri, g_ir, g_ii,
+    b_re, b_im)`` of a 2x2 real matrix and a complex shift.
     """
     if x.shape[-1] < 2:
         raise ValueError("complex layer norm needs at least 2 channels")
     cr = x.re - x.re.mean(axis=-1, keepdims=True)
     ci = x.im - x.im.mean(axis=-1, keepdims=True)
-    vrr = (cr * cr).mean(axis=-1, keepdims=True) + eps
-    vii = (ci * ci).mean(axis=-1, keepdims=True) + eps
+    vrr = (cr * cr).mean(axis=-1, keepdims=True) + NORM_EPS
+    vii = (ci * ci).mean(axis=-1, keepdims=True) + NORM_EPS
     vri = (cr * ci).mean(axis=-1, keepdims=True)
     # closed-form inverse sqrt of [[vrr, vri], [vri, vii]]
-    s = (vrr * vii - vri * vri).sqrt(eps=1e-12)
-    t = (vrr + vii + 2.0 * s).sqrt(eps=1e-12)
+    s = (vrr * vii - vri * vri).sqrt()
+    t = (vrr + vii + 2.0 * s).sqrt()
     inv = 1.0 / (s * t)
     wr = ((vii + s) * cr - vri * ci) * inv
     wi = (-vri * cr + (vrr + s) * ci) * inv
     if affine is None:
         return CTensor(wr, wi)
-    out_re = affine.g_rr * wr + affine.g_ri * wi + affine.b_re
-    out_im = affine.g_ir * wr + affine.g_ii * wi + affine.b_im
-    return CTensor(out_re, out_im)
+    g_rr, g_ri, g_ir, g_ii, b_re, b_im = affine
+    return CTensor(g_rr * wr + g_ri * wi + b_re, g_ir * wr + g_ii * wi + b_im)
 
 
 def prelu(x, slope):
@@ -249,7 +235,7 @@ def cyclic_shift(x, shift):
     return x.roll(shift, axis=x.ndim - 2)
 
 
-def shift_attention_mask(m, window, shift, neg=-1e9):
+def shift_attention_mask(m, window, shift):
     """Additive mask [M/W, W, W] forbidding cross-segment pairs after a
     cyclic shift by ``-shift``: position p in the rolled sequence came from
     original index (p + shift) mod M, and pairs may only attend within a
@@ -262,7 +248,7 @@ def shift_attention_mask(m, window, shift, neg=-1e9):
     wrapped = (p + shift) >= m
     wrapped = wrapped.reshape(nw, window)
     cross = wrapped[:, :, None] != wrapped[:, None, :]
-    mask[cross] = neg
+    mask[cross] = MASK_NEG
     return mask
 
 
@@ -330,7 +316,7 @@ def wmsa(x, params, window, shift=0, return_weights=False):
     logits = logits + params.rpe.gather_last(_rpe_index(window)).reshape(h, 1, window, window)
     mask = shift_attention_mask(m, window, shift)[None]
     if isinstance(logits, CTensor):
-        attn = cv_softmax(logits, axis=-1, modulus_bias=mask)
+        attn = cv_softmax(logits, modulus_bias=mask)
     else:
         attn = softmax(logits + mask, axis=-1)
     ctx = attn @ v  # [..., h, nw, W, d]

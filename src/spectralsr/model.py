@@ -20,7 +20,6 @@ import numpy as np
 from .autodiff import Tensor, conv1d, conv_transpose1d, no_grad
 from .cvops import (
     AttentionParams,
-    ComplexAffine,
     CTensor,
     cprelu,
     cv_conv1d,
@@ -190,7 +189,7 @@ def _const(shape, value):
     return Tensor(np.full(shape, float(value)), requires_grad=True)
 
 
-# layer-norm affine names (ComplexAffine's field order) and initial values, by is_complex
+# layer-norm affine names (cv_layer_norm's affine order) and initial values, by is_complex
 _NORM_INIT = {
     False: {"gamma": 1.0, "beta": 0.0},
     True: {"g_rr": 1.0, "g_ri": 0.0, "g_ir": 0.0, "g_ii": 1.0, "b_re": 0.0, "b_im": 0.0},
@@ -284,7 +283,7 @@ def _norm(x, store, prefix):
     cx = isinstance(x, CTensor)
     affine = [store.get(f"{prefix}.{name}") for name in _NORM_INIT[cx]]
     if cx:
-        return cv_layer_norm(x, ComplexAffine(*affine))
+        return cv_layer_norm(x, affine)
     return layer_norm(x, *affine)
 
 

@@ -46,6 +46,9 @@ class FrequencyScene:
         return len(self.freqs)
 
 
+AMP_RANGE = (0.1, 1.0)  # a sampled scene's amplitude moduli are log-uniform on this
+
+
 @dataclass
 class SceneConfig:
     """Scene sampler settings; min_separation defaults to 1/(2*n_sr)."""
@@ -54,8 +57,6 @@ class SceneConfig:
     l_max: int = 10
     n_sr: int = 4096
     min_separation: float | None = None
-    amp_lo: float = 0.1
-    amp_hi: float = 1.0
     max_tries: int = 10000
 
     def separation(self):
@@ -67,7 +68,7 @@ class SceneConfig:
 def sample_scene(rng, cfg=None):
     """Draw one scene: L uniform on [l_min, l_max], frequencies uniform on
     [-0.5, 0.5) rejected until the wrapped min-spacing constraint holds,
-    amplitude moduli log-uniform on [amp_lo, amp_hi] with uniform phase."""
+    amplitude moduli log-uniform on ``AMP_RANGE`` with uniform phase."""
     cfg = cfg or SceneConfig()
     count = int(rng.integers(cfg.l_min, cfg.l_max + 1))
     sep = cfg.separation()
@@ -83,7 +84,7 @@ def sample_scene(rng, cfg=None):
             f"scene sampling failed: could not place {count} frequencies with "
             f"spacing {sep} in {cfg.max_tries} tries"
         )
-    mod = np.exp(rng.uniform(np.log(cfg.amp_lo), np.log(cfg.amp_hi), size=count))
+    mod = np.exp(rng.uniform(np.log(AMP_RANGE[0]), np.log(AMP_RANGE[1]), size=count))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return FrequencyScene(np.array(freqs), mod * np.exp(1j * phase))
 
@@ -93,14 +94,17 @@ def synthesize(scene, n, snr_db=np.inf, rng=None):
 
     The noise power is set against the empirical power of the noiseless
     samples so the realized SNR matches ``snr_db`` exactly per scene;
-    ``snr_db`` of +inf (or None) means noiseless.
+    ``snr_db`` of +inf (or None) means noiseless, and -inf or NaN raises
+    ``ValueError``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     t = np.arange(n)
     clean = (scene.amps[:, None] * np.exp(2j * np.pi * scene.freqs[:, None] * t)).sum(axis=0)
-    if snr_db is None or np.isinf(snr_db):
+    if snr_db is None or snr_db == np.inf:
         return clean
+    if not np.isfinite(snr_db):
+        raise ValueError(f"SNR must be finite or inf (noiseless), got {snr_db}")
     power = np.mean(np.abs(clean) ** 2)
     if power == 0.0:
         raise ValueError("SNR undefined for a zero signal")
@@ -221,8 +225,8 @@ def scene_from_dict(d):
 
 def json_safe(value):
     """``value`` with every infinite float, also inside dicts and lists,
-    replaced by the string ``"inf"`` or ``"-inf"``, which ``float()`` and
-    ``--snr`` parse back, so strict JSON parsers accept the dump.
+    replaced by the string ``"inf"`` or ``"-inf"``, which ``float()``
+    parses back, so strict JSON parsers accept the dump.
 
     NaN is left as it is: it is never a valid setting, so the dump keeps
     the token that a strict parser rejects.

@@ -36,8 +36,7 @@ class TrainConfig:
     sigma_f: float | None = None
     val_scenes: int = 500
     lr_final_frac: float = 0.1  # cosine decay floor as a fraction of lr
-    checkpoint_every: int = 0   # epochs; 0 disables periodic checkpoints
-    checkpoint_path: str | None = None
+    checkpoint_path: str | None = None  # rewritten at the end of every epoch
     log_path: str | None = None
 
     def __post_init__(self):
@@ -45,7 +44,10 @@ class TrainConfig:
             raise ValueError("n_scenes must be at least 1")
         if self.batch < 1:
             raise ValueError("batch size must be at least 1")
-        if self.snr_lo_db > self.snr_hi_db:
+        lo, hi = self.snr_lo_db, self.snr_hi_db
+        if not (np.isfinite(lo) and np.isfinite(hi) or lo == hi == np.inf):
+            raise ValueError(f"snr_lo_db and snr_hi_db must be finite, or both inf, got {lo}, {hi}")
+        if lo > hi:
             raise ValueError("snr_lo_db must not exceed snr_hi_db")
 
 
@@ -61,7 +63,7 @@ def make_batch(scenes, model_cfg, train_cfg, rng):
     inputs = np.empty((len(scenes), model_cfg.n), dtype=np.complex128)
     targets = np.empty((len(scenes), model_cfg.n_sr))
     for i, scene in enumerate(scenes):
-        if np.isinf(train_cfg.snr_lo_db) and np.isinf(train_cfg.snr_hi_db):
+        if train_cfg.snr_lo_db == np.inf:  # both bounds are inf
             snr = np.inf
         else:
             snr = float(rng.uniform(train_cfg.snr_lo_db, train_cfg.snr_hi_db))
@@ -182,13 +184,10 @@ def train(store, train_cfg, scenes=None, val_scenes=None):
             tic = time.perf_counter()
             if val_scenes:
                 history.val_psnr.append(validation_psnr(store, val_scenes, train_cfg))
-            if (
-                train_cfg.checkpoint_every
-                and train_cfg.checkpoint_path
-                and (epoch + 1) % train_cfg.checkpoint_every == 0
-            ):
+            if train_cfg.checkpoint_path:
                 save_checkpoint(store, train_cfg.checkpoint_path)
-    if train_cfg.checkpoint_path:
+    # every run that takes a step ends on an epoch boundary, saved above
+    if train_cfg.checkpoint_path and not history.losses:
         save_checkpoint(store, train_cfg.checkpoint_path)
     if train_cfg.log_path:
         with open(train_cfg.log_path, "w", newline="") as fh:

@@ -228,6 +228,19 @@ def test_nan_snr_is_a_usage_error(command, tmp_path, capsys):
     assert "not nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--n", 1],
+    ["compare", "--methods", "periodogram", "--experiment", "resolution", "--trials", 1],
+])
+def test_minus_inf_snr_is_a_usage_error(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--out", tmp_path / "x", "--snr=-inf"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "not -inf" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_eval_noiseless_data_meta_is_strict_json(tmp_path):
     data, out = tmp_path / "d.bin", tmp_path / "e.json"
     run(["generate", "--n", 2, "--out", data, "--snr", "inf",
@@ -293,8 +306,11 @@ def test_eval_nan_estimate_exits_1_with_one_line(tmp_path, capsys):
     {**MICRO_TRAIN, "model": {"preset": "micro", "n": "8"}},
     {**MICRO_TRAIN, "model": {"preset": "micro", "window": 0}},
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "n_scenes": 0}},
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_lo_db": float("-inf")}},
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_lo_db": float("nan")}},
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_hi_db": float("inf")}},
 ], ids=["not-an-object", "lr-string", "epochs-string", "n-string", "window-zero",
-        "n-scenes-zero"])
+        "n-scenes-zero", "snr-lo-minus-inf", "snr-lo-nan", "snr-hi-inf-alone"])
 def test_train_mistyped_config_exits_2_with_one_error_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
     assert run(["train", "--config", cfg, "--out", tmp_path / "m.ckpt"]) == 2
@@ -415,3 +431,21 @@ def test_compare_checkpoint_of_another_size_is_a_usage_error(
     assert "n = 8" in line and "n_sr = 32" in line
     assert f"--n is {n}" in line and f"--n-grid is {n_grid}" in line
     assert not list(tmp_path.glob("c*"))
+
+
+@pytest.mark.parametrize("signal_dim, n_sr", [(16, 32), (8, 64)], ids=["n", "n-sr"])
+def test_eval_checkpoint_of_another_size_is_a_usage_error(tmp_path, capsys, signal_dim, n_sr):
+    ckpt, data = tmp_path / "m.ckpt", tmp_path / "d.bin"
+    save_checkpoint(init_model(micro_config(), np.random.default_rng(0)), ckpt)  # n 8, n_sr 32
+    run(["generate", "--n", 2, "--out", data, "--signal-dim", signal_dim, "--n-sr", n_sr])
+    capsys.readouterr()
+    out = tmp_path / "e.json"
+    code = run(["eval", "--data", data, "--method", "model", "--checkpoint", ckpt, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    line = next(x for x in err.splitlines() if x.startswith("error: "))
+    assert "n = 8" in line and "n_sr = 32" in line
+    assert f"n = {signal_dim} samples" in line and f"n_sr = {n_sr} bins" in line
+    assert str(data) in line
+    assert not out.exists()

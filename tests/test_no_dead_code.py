@@ -1,0 +1,65 @@
+"""Every module-level function and class of the package has a caller.
+
+A definition counts as used when its name is referenced (as a name, an
+attribute or an imported name) somewhere other than inside its own
+definition: in the package itself (the re-exports of ``__init__`` do not
+count), in the benchmark (``perfbench/*.py`` except its own tests), in
+``scripts/`` or in the acceptance criteria.  Unit tests do not count, so
+code that only its unit tests reach fails here.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spectralsr"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def referencing_files():
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    files += [p for p in sorted((ROOT / "perfbench").glob("*.py")) if p.name != "test_perfbench.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    return files + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def referenced_names(tree, defines=False):
+    """Names referenced in ``tree``.  With ``defines`` (the file is where its
+    top-level definitions live), a definition's references to its own name,
+    such as a recursive call, are left out."""
+    names = set()
+    for statement in tree.body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.split(".")[-1])
+        if defines and isinstance(statement, DEFINITIONS):
+            found.discard(statement.name)
+        names |= found
+    return names
+
+
+def unreferenced_definitions():
+    used = set()
+    for path in referencing_files():
+        used |= referenced_names(ast.parse(path.read_text(), str(path)), path.parent == PACKAGE)
+    return sorted(
+        f"{path.stem}.{statement.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in ast.parse(path.read_text(), str(path)).body
+        if isinstance(statement, DEFINITIONS) and statement.name not in used
+    )
+
+
+def test_every_package_function_and_class_has_a_caller():
+    assert unreferenced_definitions() == []
+
+
+def test_a_definition_used_only_inside_itself_is_reported():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    return h()\n\ndef h():\n    pass\n")
+    assert referenced_names(tree, defines=True) == {"h", "n"}
+    assert {"f", "h"} <= referenced_names(tree)

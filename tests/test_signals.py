@@ -81,6 +81,20 @@ def test_synthesize_needs_rng_for_noise():
         synthesize(scene, 16, snr_db=5.0)
 
 
+@pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+def test_synthesize_rejects_minus_inf_and_nan_snr(snr_db):
+    scene = FrequencyScene([0.1], [1.0])
+    with pytest.raises(ValueError, match="SNR must be finite or inf"):
+        synthesize(scene, 16, snr_db=snr_db, rng=np.random.default_rng(0))
+
+
+def test_synthesize_plus_inf_and_none_snr_are_noiseless():
+    scene = FrequencyScene([0.1], [1.0])
+    clean = synthesize(scene, 16)
+    assert np.array_equal(synthesize(scene, 16, snr_db=None), clean)
+    assert np.array_equal(synthesize(scene, 16, snr_db=np.inf, rng=np.random.default_rng(0)), clean)
+
+
 def test_spectrum_grid_endpoints():
     g = spectrum_grid(8)
     assert g[0] == -0.5

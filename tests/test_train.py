@@ -1,9 +1,19 @@
+import importlib
+import shutil
+
 import numpy as np
 import pytest
 
 from spectralsr.autodiff import Tensor
 from spectralsr.evaluate import psnr
-from spectralsr.model import ParameterStore, init_model, load_checkpoint, micro_config, model_forward
+from spectralsr.model import (
+    ParameterStore,
+    init_model,
+    load_checkpoint,
+    micro_config,
+    model_forward,
+    save_checkpoint,
+)
 from spectralsr.signals import SceneConfig, render_target, sample_scene, synthesize
 from spectralsr.train import (
     VALIDATION_SEED,
@@ -14,6 +24,8 @@ from spectralsr.train import (
     train,
     validation_psnr,
 )
+
+train_module = importlib.import_module("spectralsr.train")  # the package exports a train function
 
 
 def micro_train_cfg(**kw):
@@ -29,6 +41,14 @@ def test_train_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(snr_lo_db=10.0, snr_hi_db=0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-np.inf, 10.0), (np.nan, 10.0), (0.0, np.inf), (0.0, np.nan), (-np.inf, np.inf),
+])
+def test_train_config_rejects_non_finite_snr_bounds(lo, hi):
+    with pytest.raises(ValueError, match="must be finite, or both inf"):
+        TrainConfig(snr_lo_db=lo, snr_hi_db=hi)
 
 
 def test_make_batch_shapes_and_noise_regeneration():
@@ -130,6 +150,25 @@ class TestTrainLoop:
             assert np.allclose(
                 resumed.params[name].data, full_store.params[name].data, atol=1e-12
             )
+
+    def test_checkpoint_at_each_epoch_end_resumes_to_the_same_bits(self, tmp_path, monkeypatch):
+        cfg = micro_config()
+        ckpt = tmp_path / "run.ckpt"
+        saved = []
+
+        def save_and_keep(store, path):
+            save_checkpoint(store, path)
+            saved.append(store.step)
+            shutil.copy(path, tmp_path / f"step{store.step}.ckpt")
+
+        monkeypatch.setattr(train_module, "save_checkpoint", save_and_keep)
+        tc = micro_train_cfg(epochs=3, checkpoint_path=str(ckpt))  # 2 steps per epoch
+        full, full_hist = train(init_model(cfg, np.random.default_rng(6)), tc)
+        assert saved == [2, 4, 6]
+        resumed, hist = train(load_checkpoint(tmp_path / "step2.ckpt"), tc)
+        assert hist.losses == full_hist.losses[2:]
+        for name in full.names():
+            assert np.array_equal(resumed.params[name].data, full.params[name].data)
 
     def test_divergence_guard(self):
         cfg = micro_config()
