@@ -114,9 +114,10 @@ def _cmd_generate(args):
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     cfg = SceneConfig(l_min=args.l_min, l_max=args.l_max, n_sr=args.n_sr)
     scenes = [sample_scene(rng, cfg) for _ in range(args.n)]
-    signals = np.stack(
-        [synthesize(s, args.signal_dim, args.snr, rng) for s in scenes]
-    )
+    try:
+        signals = np.stack([synthesize(s, args.signal_dim, args.snr, rng) for s in scenes])
+    except ValueError as exc:  # an SNR too low for a finite noise scale
+        raise ConfigError(str(exc)) from exc
     meta = {
         "seed": args.seed,
         "snr_db": args.snr,

@@ -12,7 +12,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .autodiff import Tensor, conv1d, modulus, no_grad, softmax, where
 
@@ -199,8 +198,12 @@ def gelu(x):
     """Exact (erf-based) GELU ``x * Phi(x)`` as one node.
 
     Backward: ``g * (Phi(x) + x * phi(x))``, with ``Phi`` from the forward
-    ``erf`` call and ``phi`` the standard normal density.
+    ``erf`` call and ``phi`` the standard normal density.  ``erf`` is
+    the package's only scipy use, so scipy is imported here, on the first
+    GELU, rather than with the package.
     """
+    from scipy.special import erf
+
     cdf2 = erf(x.data * (1.0 / np.sqrt(2.0))) + 1.0  # 2 * Phi(x)
 
     def back(g):

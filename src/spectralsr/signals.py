@@ -94,8 +94,8 @@ def synthesize(scene, n, snr_db=np.inf, rng=None):
 
     The noise power is set against the empirical power of the noiseless
     samples so the realized SNR matches ``snr_db`` exactly per scene;
-    ``snr_db`` of +inf (or None) means noiseless, and -inf or NaN raises
-    ``ValueError``.
+    ``snr_db`` of +inf (or None) means noiseless; -inf, NaN, or an SNR so
+    low that the noise scale overflows raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -110,7 +110,10 @@ def synthesize(scene, n, snr_db=np.inf, rng=None):
         raise ValueError("SNR undefined for a zero signal")
     if rng is None:
         raise ValueError("a random stream is required for noisy synthesis")
-    sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0)
+    if not np.isfinite(sigma):
+        raise ValueError(f"SNR {snr_db} dB is too low: the noise scale is not finite")
     noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return clean + noise
 

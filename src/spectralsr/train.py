@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValueError("n_scenes must be at least 1")
         if self.batch < 1:
             raise ValueError("batch size must be at least 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         lo, hi = self.snr_lo_db, self.snr_hi_db
         if not (np.isfinite(lo) and np.isfinite(hi) or lo == hi == np.inf):
             raise ValueError(f"snr_lo_db and snr_hi_db must be finite, or both inf, got {lo}, {hi}")

@@ -7,7 +7,8 @@ from spectralsr.classical import (
     periodogram,
     sample_covariance,
 )
-from spectralsr.signals import FrequencyScene, spectrum_grid, synthesize
+from spectralsr.evaluate import resolution_decision, wrapped_midpoint
+from spectralsr.signals import FrequencyScene, SceneConfig, sample_scene, spectrum_grid, synthesize
 
 
 def two_tone(f1, f2, n=64, amps=(1.0, 1.0)):
@@ -19,10 +20,12 @@ def dense_atoms(n, n_grid):
     return np.exp(2j * np.pi * np.outer(np.arange(n), spectrum_grid(n_grid)))
 
 
-def dense_music(signal, order, n_grid):
+def dense_music(signal, order, n_grid, atoms=None):
+    """MUSIC from the noise subspace directly; ``atoms`` may pass in dense_atoms(m, n_grid)."""
     m = len(signal) // 2
     _, vecs = np.linalg.eigh(sample_covariance(signal, m))
-    proj = vecs[:, : m - order].conj().T @ dense_atoms(m, n_grid)
+    atoms = dense_atoms(m, n_grid) if atoms is None else atoms
+    proj = vecs[:, : m - order].conj().T @ atoms
     pseudo = 1.0 / (np.sum(np.abs(proj) ** 2, axis=0) + 1e-12)
     return pseudo / pseudo.max()
 
@@ -42,6 +45,12 @@ def dense_omp(signal, n_grid, sparsity):
         coeffs = sol
         residual = signal - atoms[:, selected] @ coeffs
     return selected, coeffs
+
+
+def top_local_maxima(p, count):
+    """Bins of the ``count`` largest circular local maxima of ``p``, sorted."""
+    peaks = np.flatnonzero((p > np.roll(p, 1)) & (p > np.roll(p, -1)))
+    return np.sort(peaks[np.argsort(-p[peaks], kind="stable")[:count]])
 
 
 def noisy_tones(seed, n):
@@ -204,6 +213,41 @@ class TestGridScanOracle:
         sig = noisy_tones(seed, 64)
         ref = dense_music(sig, 3, n_grid)
         assert np.max(np.abs(music(sig, order=3, n_grid=n_grid) - ref)) <= 1e-9 * ref.max()
+
+    @pytest.mark.parametrize("snr_db", [30.0, 60.0, np.inf])
+    def test_music_peaks_match_the_noise_subspace_scan(self, snr_db):
+        # music subtracts the signal-subspace power from m; its L largest
+        # peaks are those of the direct noise-subspace sum, noiseless too
+        n, n_grid = 64, 4096
+        atoms = dense_atoms(n // 2, n_grid)
+        rng = np.random.default_rng(np.random.SeedSequence([7, int(min(snr_db, 1000))]))
+        for _ in range(40):
+            scene = sample_scene(rng, SceneConfig(n_sr=n_grid))
+            sig = synthesize(scene, n, snr_db, rng)
+            count = len(scene.freqs)
+            got = top_local_maxima(music(sig, count, n_grid=n_grid), count)
+            ref = top_local_maxima(dense_music(sig, count, n_grid, atoms), count)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("snr_db", [20.0, 30.0, 60.0, np.inf])
+    def test_music_resolution_decisions_match_the_noise_subspace_scan(self, snr_db):
+        n, n_grid = 64, 4096
+        atoms = dense_atoms(n // 2, n_grid)
+        rng = np.random.default_rng(np.random.SeedSequence([8, int(min(snr_db, 1000))]))
+        for trial in range(200):
+            sep = (1 + trial % 8) / (4 * n)  # 0.25/N to 2/N, as in resolution_sweep
+            f1 = float(rng.uniform(-0.5, 0.5))
+            f2 = wrapped_midpoint(f1, f1 + 2 * sep)
+            scene = FrequencyScene([f1, f2], np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2)))
+            sig = synthesize(scene, n, snr_db, rng)
+            got = resolution_decision(music(sig, 2, n_grid=n_grid), f1, f2)
+            assert got == resolution_decision(dense_music(sig, 2, n_grid, atoms), f1, f2)
+
+    @pytest.mark.parametrize("n_grid", [4, 256])
+    def test_music_of_order_zero_is_all_ones(self, n_grid):
+        # an empty signal subspace leaves the denominator at m everywhere
+        sig = noisy_tones(0, 64)
+        assert np.array_equal(music(sig, order=0, n_grid=n_grid), np.ones(n_grid))
 
     @pytest.mark.parametrize("n, n_grid", [(64, 4), (300, 255), (300, 256), (64, 255),
                                            (64, 256), (64, 4096)])

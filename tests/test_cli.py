@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectralsr
 from spectralsr.classical import music, omp, periodogram
 from spectralsr.cli import main
 from spectralsr.evaluate import make_method, omp_spectrum
@@ -306,11 +312,14 @@ def test_eval_nan_estimate_exits_1_with_one_line(tmp_path, capsys):
     {**MICRO_TRAIN, "model": {"preset": "micro", "n": "8"}},
     {**MICRO_TRAIN, "model": {"preset": "micro", "window": 0}},
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "n_scenes": 0}},
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "epochs": 0}},
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "epochs": -2}},
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_lo_db": float("-inf")}},
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_lo_db": float("nan")}},
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_hi_db": float("inf")}},
 ], ids=["not-an-object", "lr-string", "epochs-string", "n-string", "window-zero",
-        "n-scenes-zero", "snr-lo-minus-inf", "snr-lo-nan", "snr-hi-inf-alone"])
+        "n-scenes-zero", "epochs-zero", "epochs-negative", "snr-lo-minus-inf", "snr-lo-nan",
+        "snr-hi-inf-alone"])
 def test_train_mistyped_config_exits_2_with_one_error_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
     assert run(["train", "--config", cfg, "--out", tmp_path / "m.ckpt"]) == 2
@@ -390,6 +399,40 @@ def test_eval_header_with_bad_n_sr_exits_1_with_one_line(tmp_path, capsys, n_sr)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(data) in err and "n_sr" in err
+
+
+def test_generate_snr_too_low_for_a_finite_noise_scale_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "d.bin"
+    assert run(["generate", "--n", 2, "--snr", -4000, "--signal-dim", 8, "--n-sr", 32,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "SNR -4000.0 dB" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_import_and_classical_baseline_do_not_load_scipy(tmp_path):
+    # scipy serves only the GELU activation, so it is imported there
+    write_records(tmp_path / "s.bin", np.ones((2, 16), dtype=complex))
+    script = textwrap.dedent("""
+        import json, sys
+        import spectralsr
+        from spectralsr.cli import main
+
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+        after_import = scipy_modules()
+        code = main(["baseline", "--method", "music", "--data", sys.argv[1],
+                     "--out", sys.argv[2], "--n-grid", "64", "--order", "2"])
+        print(json.dumps([after_import, code, scipy_modules()]))
+    """)
+    src = Path(spectralsr.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script, tmp_path / "s.bin", tmp_path / "o.bin"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+    assert read_records(tmp_path / "o.bin").shape == (2, 64)
 
 
 def test_generate_l_min_above_l_max_is_a_usage_error(tmp_path, capsys):

@@ -88,6 +88,11 @@ def test_gelu_matches_composite_on_negative_zero_and_positive_inputs():
     assert_same_node(gelu, gelu_composite, [x.reshape(2, 19)])
 
 
+def test_gelu_forward_is_the_composite_bit_for_bit():
+    x = np.concatenate([np.linspace(-8.0, 8.0, 33), [-40.0, -1e-300, 0.0, 1e-300, 40.0]])
+    assert np.array_equal(gelu(Tensor(x)).data, gelu_composite(Tensor(x)).data)
+
+
 @pytest.mark.parametrize("slope", [0.25, -0.5, 0.0])
 def test_prelu_matches_composite_on_negative_zero_and_positive_inputs(slope):
     x = np.array([[-3.0, -1e-3, 0.0, 1e-3, 2.5], [0.0, -7.0, 4.0, -0.0, 1.0]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,17 @@ def test_synthesize_rejects_minus_inf_and_nan_snr(snr_db):
     scene = FrequencyScene([0.1], [1.0])
     with pytest.raises(ValueError, match="SNR must be finite or inf"):
         synthesize(scene, 16, snr_db=snr_db, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, -3100.0])
+def test_synthesize_rejects_an_snr_whose_noise_scale_overflows(snr_db):
+    # 10 ** (snr / 10) underflows to 0 (or power over it overflows), so the
+    # noise scale is inf; that is refused, without a RuntimeWarning
+    scene = FrequencyScene([0.1], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"SNR {snr_db} dB"):
+            synthesize(scene, 16, snr_db=snr_db, rng=np.random.default_rng(0))
 
 
 def test_synthesize_plus_inf_and_none_snr_are_noiseless():

@@ -39,6 +39,9 @@ def test_train_config_validation():
         TrainConfig(n_scenes=0)
     with pytest.raises(ValueError):
         TrainConfig(batch=0)
+    for epochs in (0, -1):
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            TrainConfig(epochs=epochs)
     with pytest.raises(ValueError):
         TrainConfig(snr_lo_db=10.0, snr_hi_db=0.0)
 
