@@ -24,12 +24,11 @@ from .signals import (
     SceneConfig,
     json_safe,
     read_dataset,
-    read_records,
     render_target,
     sample_scene,
     synthesize,
     write_dataset,
-    write_records,
+    write_file,
 )
 from .train import TrainConfig, train
 
@@ -99,10 +98,10 @@ def _build_parser():
     cmp_p.add_argument("--n-grid", type=_positive_int, default=4096)
     cmp_p.add_argument("--snr", type=_snr_db, default=20.0)
 
-    base = sub.add_parser("baseline", help="run a classical estimator on a signal file")
+    base = sub.add_parser("baseline", help="run a classical estimator over a dataset's signals")
     base.add_argument("--method", required=True, choices=ev.CLASSICAL_METHODS)
-    base.add_argument("--data", required=True, help="signal records file")
-    base.add_argument("--out", required=True, help="spectrum records file")
+    base.add_argument("--data", required=True, help="dataset file, as written by generate")
+    base.add_argument("--out", required=True, help="spectra file")
     base.add_argument("--n-grid", type=_positive_int, default=4096)
     base.add_argument("--order", type=_positive_int, default=1, help="model order for music/omp")
     return parser
@@ -194,8 +193,6 @@ def _cmd_eval(args):
     n_sr = data.meta.get("n_sr", 4096)
     if type(n_sr) is not int or n_sr < 1:
         raise ValueError(f"{args.data}: header n_sr must be an integer of at least 1, got {n_sr!r}")
-    if not data.scenes:
-        raise ValueError(f"{args.data}: the dataset has no records")
     checkpoint = _load_model([args.method], args.checkpoint)
     n = data.signals.shape[1]
     _check_model_size(checkpoint, n, n_sr,
@@ -260,9 +257,10 @@ def _cmd_compare(args):
 
 
 def _cmd_baseline(args):
-    signals = read_records(args.data)
+    signals = read_dataset(args.data).signals
     spectra = [ev.ESTIMATORS[args.method](s, args.order, args.n_grid) for s in signals]
-    write_records(args.out, np.stack(spectra))
+    header = {"method": args.method, "order": args.order, "n_grid": args.n_grid}
+    write_file(args.out, header, np.stack(spectra))
     print(f"wrote {len(spectra)} spectra to {args.out}")
     return 0
 

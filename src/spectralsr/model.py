@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
+import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -30,11 +30,9 @@ from .cvops import (
     mlp,
     wmsa,
 )
-from .signals import FileReader, minmax_normalize
+from .signals import is_shape, minmax_normalize, read_file, write_file
 
 VARIANTS = ("swinfreq", "cvswinfreq")
-CHECKPOINT_MAGIC = b"SSRC"
-CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -376,28 +374,22 @@ def model_forward(signal, store):
 
 
 def save_checkpoint(store, path):
-    """Write config, step, parameters, and optimizer state to one file."""
-    cfg_json = json.dumps(asdict(store.config), sort_keys=True).encode()
-    entries = [(name, store.params[name].data) for name in store.names()]
-    for name in sorted(store.opt_state):
-        state = store.opt_state[name]
-        entries.append(("opt.m." + name, np.asarray(state["m"])))
-        entries.append(("opt.v." + name, np.asarray(state["v"])))
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(bytes.fromhex(store.config.hash()))
-        fh.write(struct.pack("<QI", store.step, len(cfg_json)))
-        fh.write(cfg_json)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, data in entries:
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(data.astype("<f8").tobytes())
+    """Write config, step, parameters and optimizer state to one file.
+
+    The header lists every entry's name and shape in name order, and the
+    payload holds the entries in that order as one flat float64 array.
+    """
+    entries = {name: tensor.data for name, tensor in store.params.items()}
+    for name, state in store.opt_state.items():
+        entries.update({f"opt.{key}.{name}": np.asarray(state[key]) for key in ("m", "v")})
+    names = sorted(entries)
+    header = {
+        "config": asdict(store.config),
+        "config_hash": store.config.hash(),
+        "step": store.step,
+        "entries": [[name, list(entries[name].shape)] for name in names],
+    }
+    write_file(path, header, np.concatenate([entries[name].ravel() for name in names]))
 
 
 class CheckpointError(RuntimeError):
@@ -408,43 +400,48 @@ def load_checkpoint(path, expected_config=None):
     """Read a checkpoint; verifies the stored config hash and optionally
     that it matches ``expected_config``."""
     try:
-        reader = FileReader(path, CHECKPOINT_MAGIC, "checkpoint")
-        (version,) = reader.unpack("I", "version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        stored_hash = reader.take(32, "config hash").hex()
-        step, cfg_len = reader.unpack("QI", "step and config length")
-        cfg_json = reader.take(cfg_len, "config")
-        try:
-            cfg = config_from_json(ModelConfig, json.loads(cfg_json))
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: stored config: {exc}") from exc
-        if cfg.hash() != stored_hash:
-            raise CheckpointError(f"{path}: config hash mismatch (corrupt header)")
-        if expected_config is not None and expected_config.hash() != stored_hash:
-            raise CheckpointError(
-                f"{path}: checkpoint was trained with a different config"
-            )
-        params: dict[str, Tensor] = {}
-        opt_state: dict[str, dict] = {}
-        (n_entries,) = reader.unpack("I", "entry count")
-        for _ in range(n_entries):
-            (name_len,) = reader.unpack("H", "entry name length")
-            name = reader.take(name_len, "entry name").decode(errors="backslashreplace")
-            (ndim,) = reader.unpack("B", f"{name} rank")
-            shape = reader.unpack("I" * ndim, f"{name} shape")
-            data = reader.array(np.float64, shape, name)
-            if name.startswith("opt.m."):
-                opt_state.setdefault(name[6:], {})["m"] = data
-            elif name.startswith("opt.v."):
-                opt_state.setdefault(name[6:], {})["v"] = data
-            else:
-                params[name] = Tensor(data, requires_grad=True)
-        reader.end()
+        header, flat = read_file(path)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
+    try:
+        cfg = config_from_json(ModelConfig, header.get("config"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: stored config: {exc}") from exc
+    stored_hash = header.get("config_hash")
+    if cfg.hash() != stored_hash:
+        raise CheckpointError(f"{path}: config hash mismatch (corrupt header)")
+    if expected_config is not None and expected_config.hash() != stored_hash:
+        raise CheckpointError(
+            f"{path}: checkpoint was trained with a different config"
+        )
+    step, entries = header.get("step"), header.get("entries")
+    if type(step) is not int or step < 0:
+        raise CheckpointError(f"{path}: step must be a non-negative integer, got {step!r}")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and is_shape(e[1])
+        for e in entries
+    ):
+        raise CheckpointError(f"{path}: entries must be a list of [name, shape] pairs")
+    sizes = [math.prod(shape) for _, shape in entries]
+    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+        raise CheckpointError(
+            f"{path}: the entries hold {sum(sizes)} values, the payload has {flat.dtype} shape {flat.shape}"
+        )
+    params: dict[str, Tensor] = {}
+    opt_state: dict[str, dict] = {}
+    for (name, shape), data in zip(entries, np.split(flat, np.cumsum(sizes)[:-1])):
+        try:
+            data = data.reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CheckpointError(f"{path}: {name}: {exc}") from exc
+        if name.startswith("opt.m."):
+            opt_state.setdefault(name[6:], {})["m"] = data
+        elif name.startswith("opt.v."):
+            opt_state.setdefault(name[6:], {})["v"] = data
+        else:
+            params[name] = Tensor(data, requires_grad=True)
     _check_params(path, cfg, params, opt_state)
     return ParameterStore(cfg, params, step=step, opt_state=opt_state)
 

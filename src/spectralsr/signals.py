@@ -8,14 +8,10 @@ from __future__ import annotations
 
 import json
 import math
-import struct
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-MAGIC = b"SSR1"
-_DTYPE_CODES = {"complex128": 1, "float64": 2}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
 def wrapped_distance(f1, f2):
@@ -111,7 +107,8 @@ def synthesize(scene, n, snr_db=np.inf, rng=None):
     if rng is None:
         raise ValueError("a random stream is required for noisy synthesis")
     with np.errstate(divide="ignore", over="ignore"):
-        sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0) / 2.0)
+        # above about 3083 dB this float64 power is inf and sigma 0 (a Python float raises)
+        sigma = np.sqrt(power / np.float64(10.0) ** (snr_db / 10.0) / 2.0)
     if not np.isfinite(sigma):
         raise ValueError(f"SNR {snr_db} dB is too low: the noise scale is not finite")
     noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -171,18 +168,34 @@ def minmax_normalize(x):
 
 
 # -- serialization -----------------------------------------------------
+#
+# Datasets, spectra files and checkpoints are one container: MAGIC, the
+# u32 length of a strict-JSON header, the header, then one little-endian
+# array.  Each file kind is a convention for the header's other keys.
+
+MAGIC = b"SSRF"
+FILE_VERSION = 3  # the checkpoint layout that this replaced was version 2
+
+
+def is_shape(value):
+    """Whether the decoded JSON ``value`` is a list of non-negative ints."""
+    return isinstance(value, list) and all(type(d) is int and d >= 0 for d in value)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 class FileReader:
-    """A binary file read whole and handed out field by field after its
-    4-byte ``magic``.  Each malformed field raises one ``ValueError``
-    naming the path and the field."""
+    """A file read whole and handed out field by field after its 4-byte
+    ``MAGIC``.  Each malformed field raises one ``ValueError`` naming the
+    path and the field."""
 
-    def __init__(self, path, magic, kind):
+    def __init__(self, path):
         with open(path, "rb") as fh:
             self.data = fh.read()
-        if self.data[:4] != magic:
-            raise ValueError(f"{path}: not a {kind} (bad magic)")
+        if self.data[:4] != MAGIC:
+            raise ValueError(f"{path}: not a spectralsr file (bad magic)")
         self.path, self.pos = path, 4
 
     def take(self, size, what):
@@ -192,23 +205,65 @@ class FileReader:
         self.pos += size
         return self.data[self.pos - size : self.pos]
 
-    def unpack(self, fmt, what):
-        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), what))
-
     def array(self, dtype, shape, what):
-        """A native-order copy of the little-endian array of ``shape``."""
+        """The rest of the file, which must be exactly the little-endian
+        array of ``shape``, as a native-order copy."""
         dtype = np.dtype(dtype).newbyteorder("<")
         # math.prod of Python ints: a corrupt shape cannot overflow the size
-        raw = self.take(math.prod(shape) * dtype.itemsize, what)
+        size, left = math.prod(shape) * dtype.itemsize, len(self.data) - self.pos
+        if size != left:
+            raise ValueError(f"{self.path}: expected {size} {what} bytes, got {left}")
         try:
-            return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("=")).reshape(shape)
+            raw = np.frombuffer(self.data, dtype, offset=self.pos)
+            return raw.astype(dtype.newbyteorder("=")).reshape(shape)
         except ValueError as exc:  # more dimensions than numpy supports
             raise ValueError(f"{self.path}: {what}: {exc}") from exc
 
-    def end(self):
-        left = len(self.data) - self.pos
-        if left:
-            raise ValueError(f"{self.path}: {left} trailing bytes after the payload")
+
+def write_file(path, header, array):
+    """Write the JSON object ``header`` and ``array`` to ``path``.
+
+    The stored header is ``json_safe(header)`` plus the container's keys
+    ``version``, ``dtype`` and ``shape``; the payload is ``array`` as
+    complex128 or float64.  The bytes go to a temporary file in the
+    target's directory that then replaces ``path``, so a write that fails
+    part-way leaves an existing file as it was.
+    """
+    array = np.asarray(array, np.complex128 if np.iscomplexobj(array) else np.float64)
+    header = {**json_safe(header), "version": FILE_VERSION,
+              "dtype": array.dtype.name, "shape": list(array.shape)}
+    text = json.dumps(header, sort_keys=True, allow_nan=False).encode()
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + len(text).to_bytes(4, "little") + text)
+            fh.write(array.astype(array.dtype.newbyteorder("<")).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def read_file(path):
+    """The header, without the container's keys, and the payload array of
+    a file written by :func:`write_file`.  A malformed file raises one
+    ``ValueError`` naming the path."""
+    reader = FileReader(path)
+    size = int.from_bytes(reader.take(4, "header length"), "little")
+    text = reader.take(size, "header")
+    try:
+        header = json.loads(text.decode(), parse_constant=_refuse_constant)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: the header is not strict JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the header is not a JSON object")
+    version = header.pop("version", None)
+    if version != FILE_VERSION:
+        raise ValueError(f"{path}: unsupported file version {version}")
+    dtype, shape = header.pop("dtype", None), header.pop("shape", None)
+    if dtype not in ("complex128", "float64") or not is_shape(shape):
+        raise ValueError(f"{path}: unsupported payload dtype {dtype!r} or shape {shape!r}")
+    return header, reader.array(dtype, shape, "payload")
 
 
 def scene_to_dict(scene):
@@ -243,55 +298,6 @@ def json_safe(value):
     return value
 
 
-def scenes_to_json(scenes, **meta):
-    payload = {"version": 1, "scenes": [scene_to_dict(s) for s in scenes]}
-    payload.update(json_safe(meta))
-    return json.dumps(payload, sort_keys=True)
-
-
-def scenes_from_json(text):
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("scene header is not a JSON object")
-    if payload.get("version") != 1:
-        raise ValueError("unsupported scene file version")
-    if not isinstance(payload.get("scenes"), list):
-        raise ValueError("scene header has no 'scenes' list")
-    try:
-        scenes = [scene_from_dict(d) for d in payload["scenes"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed scene in header: {exc!r}") from exc
-    return scenes, payload
-
-
-def write_records(path, array):
-    """Write a [count, length] batch of signals or spectra.
-
-    Layout: magic, u8 dtype code, u32 count, u32 length, then raw
-    little-endian samples (interleaved re/im for complex).
-    """
-    array = np.atleast_2d(np.asarray(array))
-    if np.iscomplexobj(array):
-        array = array.astype(np.complex128)
-    else:
-        array = array.astype(np.float64)
-    code = _DTYPE_CODES[array.dtype.name]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<BII", code, array.shape[0], array.shape[1]))
-        fh.write(array.astype(array.dtype.newbyteorder("<")).tobytes())
-
-
-def read_records(path):
-    reader = FileReader(path, MAGIC, "record file")
-    code, count, length = reader.unpack("BII", "header")
-    if code not in _CODE_DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    records = reader.array(_CODE_DTYPES[code], (count, length), "payload")
-    reader.end()
-    return records
-
-
 @dataclass
 class Dataset:
     """Scenes plus their noisy realizations, bundled in one file."""
@@ -301,32 +307,21 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
 
-DATASET_MAGIC = b"SSRD"
-
-
 def write_dataset(path, dataset):
-    scenes_json = scenes_to_json(dataset.scenes, **dataset.meta).encode()
-    sig = np.atleast_2d(dataset.signals).astype(np.complex128)
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<I", len(scenes_json)))
-        fh.write(scenes_json)
-        fh.write(struct.pack("<II", sig.shape[0], sig.shape[1]))
-        fh.write(sig.astype(np.dtype(np.complex128).newbyteorder("<")).tobytes())
+    """Write ``dataset`` with ``meta`` and the scenes in the header and the
+    [count, length] signals as the payload."""
+    header = {**dataset.meta, "scenes": [scene_to_dict(s) for s in dataset.scenes]}
+    write_file(path, header, np.atleast_2d(dataset.signals))
 
 
 def read_dataset(path):
-    reader = FileReader(path, DATASET_MAGIC, "dataset file")
-    (json_len,) = reader.unpack("I", "scene header length")
-    header = reader.take(json_len, "scene header")
+    header, signals = read_file(path)
     try:
-        scenes, meta = scenes_from_json(header.decode())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    count, length = reader.unpack("II", "count/length header")
-    if count != len(scenes):
-        raise ValueError(f"{path}: {len(scenes)} scenes in the header, {count} signals in the payload")
-    signals = reader.array(np.complex128, (count, length), "payload")
-    reader.end()
-    meta = {k: v for k, v in meta.items() if k not in ("version", "scenes")}
-    return Dataset(scenes, signals, meta)
+        scenes = [scene_from_dict(d) for d in header.pop("scenes")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: no list of well-formed scenes in the header: {exc!r}") from exc
+    if signals.ndim != 2 or len(signals) != len(scenes):
+        raise ValueError(f"{path}: {len(scenes)} scenes in the header, payload of shape {signals.shape}")
+    if not scenes:
+        raise ValueError(f"{path}: the dataset has no records")
+    return Dataset(scenes, signals, header)

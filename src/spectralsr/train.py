@@ -46,6 +46,10 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.sigma_f is not None and not (np.isfinite(self.sigma_f) and self.sigma_f > 0):
+            raise ValueError(f"sigma_f must be positive and finite or null, got {self.sigma_f}")
         lo, hi = self.snr_lo_db, self.snr_hi_db
         if not (np.isfinite(lo) and np.isfinite(hi) or lo == hi == np.inf):
             raise ValueError(f"snr_lo_db and snr_hi_db must be finite, or both inf, got {lo}, {hi}")

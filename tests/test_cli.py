@@ -11,16 +11,17 @@ import pytest
 import spectralsr
 from spectralsr.classical import music, omp, periodogram
 from spectralsr.cli import main
-from spectralsr.evaluate import make_method, omp_spectrum
+from spectralsr.evaluate import ESTIMATORS, make_method, omp_spectrum
 from spectralsr.model import init_model, load_checkpoint, micro_config, save_checkpoint
 from spectralsr.signals import (
-    DATASET_MAGIC,
+    MAGIC,
     Dataset,
     FrequencyScene,
     read_dataset,
-    read_records,
+    read_file,
+    synthesize,
     write_dataset,
-    write_records,
+    write_file,
 )
 
 
@@ -38,6 +39,11 @@ def write_config(tmp_path, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+def write_signals(path, signals):
+    """A dataset of ``signals``, each with the same one-tone scene."""
+    write_dataset(path, Dataset([FrequencyScene([0.1], [1.0])] * len(signals), signals))
 
 
 def test_generate_creates_dataset(tmp_path):
@@ -142,14 +148,15 @@ def test_baseline_runs_all_methods(tmp_path):
     rng = np.random.default_rng(0)
     sig = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
     src = tmp_path / "sig.bin"
-    write_records(src, sig)
+    write_signals(src, sig)
     for method in ("periodogram", "music", "omp"):
         out = tmp_path / f"{method}.bin"
         assert run(["baseline", "--method", method, "--data", src,
                     "--out", out, "--n-grid", 128, "--order", 2]) == 0
-        spectra = read_records(out)
+        header, spectra = read_file(out)
+        assert header == {"method": method, "order": 2, "n_grid": 128}
         assert spectra.shape == (2, 128)
-        assert np.all(spectra.real >= 0)
+        assert np.all(spectra >= 0)
 
 
 def test_baseline_and_make_method_dispatch_to_the_classical_estimators(tmp_path):
@@ -161,12 +168,12 @@ def test_baseline_and_make_method_dispatch_to_the_classical_estimators(tmp_path)
         "music": lambda s, k: music(s, k, n_grid=n_grid),
         "omp": lambda s, k: omp_spectrum(omp(s, n_grid, k), n_grid),
     }
-    write_records(tmp_path / "sig.bin", sig)
+    write_signals(tmp_path / "sig.bin", sig)
     for method, spectrum in expected.items():
         out = tmp_path / f"{method}.bin"
         assert run(["baseline", "--method", method, "--data", tmp_path / "sig.bin",
                     "--out", out, "--n-grid", n_grid, "--order", order]) == 0
-        np.testing.assert_array_equal(read_records(out), [spectrum(s, order) for s in sig])
+        np.testing.assert_array_equal(read_file(out)[1], [spectrum(s, order) for s in sig])
         scene = FrequencyScene([0.1, 0.2, 0.3], np.ones(3))
         np.testing.assert_array_equal(
             make_method(method, n_grid)(sig[0], scene), spectrum(sig[0], scene.count)
@@ -180,14 +187,73 @@ def test_baseline_bad_input_exits_1(tmp_path):
                 "--out", tmp_path / "o.bin"]) == 1
 
 
-# cut length inside each field of a dataset file, from the file size and
-# the scene header length
+@pytest.mark.parametrize("method", ["periodogram", "music", "omp"])
+def test_generate_then_baseline_gives_the_estimator_spectra(tmp_path, method):
+    data, out = tmp_path / "d.bin", tmp_path / "s.bin"
+    assert run(["generate", "--n", 3, "--signal-dim", 16, "--n-sr", 64, "--out", data]) == 0
+    assert run(["baseline", "--method", method, "--order", 1, "--n-grid", 64,
+                "--data", data, "--out", out]) == 0
+    header, spectra = read_file(out)
+    assert header == {"method": method, "order": 1, "n_grid": 64}
+    expected = [ESTIMATORS[method](s, 1, 64) for s in read_dataset(data).signals]
+    assert np.array_equal(spectra, expected)
+
+
+def test_eval_on_a_spectra_file_exits_1_with_one_line(tmp_path, capsys):
+    data, spectra = tmp_path / "d.bin", tmp_path / "s.bin"
+    run(["generate", "--n", 2, "--signal-dim", 8, "--n-sr", 32, "--out", data])
+    run(["baseline", "--method", "periodogram", "--n-grid", 32, "--data", data, "--out", spectra])
+    capsys.readouterr()
+    assert run(["eval", "--data", spectra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(spectra) in err and "scenes" in err
+
+
+# each command's input in the layout that the one container replaced:
+# its magic and the start of its header
+@pytest.mark.parametrize("old_start, command", [
+    (b"SSR1\x01" + (1).to_bytes(4, "little") + (8).to_bytes(4, "little"),
+     ["baseline", "--method", "periodogram", "--data", "{old}", "--out", "{dir}/o.bin"]),
+    (b"SSRD" + (2).to_bytes(4, "little") + b"{}", ["eval", "--data", "{old}"]),
+    (b"SSRC" + (2).to_bytes(4, "little"),
+     ["eval", "--data", "{data}", "--method", "model", "--checkpoint", "{old}"]),
+], ids=["records", "dataset", "checkpoint"])
+def test_a_file_in_an_old_layout_exits_1_with_one_line(tmp_path, capsys, old_start, command):
+    old, data = tmp_path / "old.bin", tmp_path / "d.bin"
+    old.write_bytes(old_start + bytes(64))
+    run(["generate", "--n", 2, "--signal-dim", 8, "--n-sr", 32, "--out", data])
+    capsys.readouterr()
+    assert run([a.format(old=old, data=data, dir=tmp_path) for a in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(old) in err and "bad magic" in err
+
+
+def test_generate_at_an_snr_whose_noise_scale_underflows_is_noiseless(tmp_path):
+    out = tmp_path / "d.bin"
+    assert run(["generate", "--n", 2, "--snr", 4000, "--signal-dim", 8, "--n-sr", 32,
+                "--out", out]) == 0
+    data = read_dataset(out)
+    clean = [synthesize(scene, 8) for scene in data.scenes]
+    assert np.array_equal(data.signals, clean)
+
+
+def test_train_at_an_snr_whose_noise_scale_underflows_runs(tmp_path):
+    cfg = write_config(tmp_path, {**MICRO_TRAIN, "train": {
+        **MICRO_TRAIN["train"], "snr_lo_db": 3500.0, "snr_hi_db": 4000.0}})
+    assert run(["train", "--config", cfg, "--out", tmp_path / "m.ckpt"]) == 0
+    assert load_checkpoint(tmp_path / "m.ckpt").step == 4
+
+
+# cut length inside each field of a dataset file, from the file bytes and
+# the header length; the record count and length are the header's "shape"
 TRUNCATIONS = {
-    "magic": lambda size, json_len: 2,
-    "scene-header-length": lambda size, json_len: 6,
-    "scene-header": lambda size, json_len: 8 + json_len // 2,
-    "count-length-header": lambda size, json_len: 8 + json_len + 3,
-    "payload": lambda size, json_len: size - 5,
+    "magic": lambda raw, json_len: 2,
+    "scene-header-length": lambda raw, json_len: 6,
+    "scene-header": lambda raw, json_len: 8 + json_len // 2,
+    "count-length-header": lambda raw, json_len: raw.index(b'"shape": [') + 12,
+    "payload": lambda raw, json_len: len(raw) - 5,
 }
 
 
@@ -198,7 +264,7 @@ def test_eval_truncated_dataset_exits_1_with_one_line(tmp_path, capsys, field):
     raw = data.read_bytes()
     json_len = int.from_bytes(raw[4:8], "little")
     cut = tmp_path / "cut.bin"
-    cut.write_bytes(raw[: TRUNCATIONS[field](len(raw), json_len)])
+    cut.write_bytes(raw[: TRUNCATIONS[field](raw, json_len)])
     capsys.readouterr()
     assert run(["eval", "--data", cut]) == 1
     err = capsys.readouterr().err
@@ -257,10 +323,8 @@ def test_eval_noiseless_data_meta_is_strict_json(tmp_path):
 
 
 def test_eval_header_without_scenes_exits_1_with_one_line(tmp_path, capsys):
-    header = b'{"version": 1}'
     data = tmp_path / "d.bin"
-    data.write_bytes(b"SSRD" + len(header).to_bytes(4, "little") + header
-                     + (0).to_bytes(4, "little") + (8).to_bytes(4, "little"))
+    write_file(data, {}, np.zeros((0, 8), complex))
     assert run(["eval", "--data", data]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -272,7 +336,7 @@ def test_generate_noiseless_header_is_strict_json(tmp_path):
     assert run(["generate", "--n", 2, "--out", data, "--snr", "inf",
                 "--signal-dim", 8, "--n-sr", 32]) == 0
     raw = data.read_bytes()
-    assert raw[:4] == DATASET_MAGIC
+    assert raw[:4] == MAGIC
     json_len = int.from_bytes(raw[4:8], "little")
     header = strict_json(raw[8 : 8 + json_len].decode())
     assert header["snr_db"] == "inf"
@@ -317,9 +381,11 @@ def test_eval_nan_estimate_exits_1_with_one_line(tmp_path, capsys):
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_lo_db": float("-inf")}},
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_lo_db": float("nan")}},
     {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "snr_hi_db": float("inf")}},
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "lr": -0.5}},
+    {**MICRO_TRAIN, "train": {**MICRO_TRAIN["train"], "sigma_f": -1.0}},
 ], ids=["not-an-object", "lr-string", "epochs-string", "n-string", "window-zero",
         "n-scenes-zero", "epochs-zero", "epochs-negative", "snr-lo-minus-inf", "snr-lo-nan",
-        "snr-hi-inf-alone"])
+        "snr-hi-inf-alone", "lr-negative", "sigma-f-negative"])
 def test_train_mistyped_config_exits_2_with_one_error_line(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
     assert run(["train", "--config", cfg, "--out", tmp_path / "m.ckpt"]) == 2
@@ -333,10 +399,8 @@ def test_train_mistyped_config_exits_2_with_one_error_line(tmp_path, capsys, pay
 def test_eval_checkpoint_with_corrupt_config_exits_1_with_one_line(tmp_path, capsys, stored):
     ckpt, data = tmp_path / "m.ckpt", tmp_path / "d.bin"
     save_checkpoint(init_model(micro_config(), np.random.default_rng(0)), ckpt)
-    raw = ckpt.read_bytes()
-    cfg_len = int.from_bytes(raw[48:52], "little")
-    text = json.dumps(stored).encode()
-    ckpt.write_bytes(raw[:48] + len(text).to_bytes(4, "little") + text + raw[52 + cfg_len :])
+    header, payload = read_file(ckpt)
+    write_file(ckpt, {**header, "config": stored}, payload)
     run(["generate", "--n", 2, "--out", data, "--signal-dim", 8, "--n-sr", 32])
     capsys.readouterr()
     assert run(["eval", "--data", data, "--method", "model", "--checkpoint", ckpt]) == 1
@@ -374,7 +438,7 @@ def test_directory_path_exits_1_with_one_line(tmp_path, capsys, command):
         "generate-n-sr-0", "generate-n-0", "generate-signal-dim-0", "generate-l-min-0",
         "generate-l-max-0", "compare-n-0", "baseline-order-0", "baseline-order-negative"])
 def test_grid_size_and_trials_below_one_are_usage_errors(command, tmp_path, capsys):
-    write_records(tmp_path / "s.bin", np.ones((1, 8), dtype=complex))
+    write_signals(tmp_path / "s.bin", np.ones((1, 8), dtype=complex))
     argv = [str(a).format(dir=tmp_path) for a in command] + ["--out", tmp_path / "x"]
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -412,7 +476,7 @@ def test_generate_snr_too_low_for_a_finite_noise_scale_is_a_usage_error(tmp_path
 
 def test_import_and_classical_baseline_do_not_load_scipy(tmp_path):
     # scipy serves only the GELU activation, so it is imported there
-    write_records(tmp_path / "s.bin", np.ones((2, 16), dtype=complex))
+    write_signals(tmp_path / "s.bin", np.ones((2, 16), dtype=complex))
     script = textwrap.dedent("""
         import json, sys
         import spectralsr
@@ -432,7 +496,7 @@ def test_import_and_classical_baseline_do_not_load_scipy(tmp_path):
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
-    assert read_records(tmp_path / "o.bin").shape == (2, 64)
+    assert read_file(tmp_path / "o.bin")[1].shape == (2, 64)
 
 
 def test_generate_l_min_above_l_max_is_a_usage_error(tmp_path, capsys):

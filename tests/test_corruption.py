@@ -1,6 +1,6 @@
-"""Every truncation, and every overwritten header byte, of the three file
-formats ends in the documented error: ``ValueError`` for record and
-dataset files, ``CheckpointError`` for checkpoints."""
+"""Every truncation, and every overwritten header byte, of the three uses
+of the file container ends in the documented error: ``ValueError`` for
+dataset and spectra files, ``CheckpointError`` for checkpoints."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,9 @@ from spectralsr.signals import (
     Dataset,
     FrequencyScene,
     read_dataset,
-    read_records,
+    read_file,
     write_dataset,
-    write_records,
+    write_file,
 )
 
 # values written over each header byte, besides the byte XOR 0x01, which
@@ -26,42 +26,46 @@ from spectralsr.signals import (
 OVERWRITES = (0x00, 0xFF, ord("0"))
 
 
+def header_length(path):
+    """The length of the magic, the header length field and the header."""
+    return 8 + int.from_bytes(path.read_bytes()[4:8], "little")
+
+
 def write_checkpoint(path):
     """A micro cvswinfreq checkpoint with optimizer state for two parameters;
-    returns the length of its header (up to and including the entry count)."""
+    returns the length of its header."""
     store = init_model(micro_config("cvswinfreq"), np.random.default_rng(0))
     store.step = 3
     for name in ("head.w", "head.b"):
         data = store.params[name].data
         store.opt_state[name] = {"m": np.full_like(data, 0.5), "v": np.full_like(data, 0.25)}
     save_checkpoint(store, path)
-    cfg_len = int.from_bytes(path.read_bytes()[48:52], "little")
-    return 52 + cfg_len + 4
+    return header_length(path)
 
 
 def write_dataset_file(path):
     scenes = [FrequencyScene([0.1], [1.0]), FrequencyScene([-0.2, 0.3], [1j, 0.5])]
     signals = np.arange(16).reshape(2, 8) * (1 + 1j)
     write_dataset(path, Dataset(scenes, signals, {"snr_db": 20.0, "n_sr": 32}))
-    return 8 + int.from_bytes(path.read_bytes()[4:8], "little") + 8
+    return header_length(path)
 
 
-def write_records_file(path):
-    write_records(path, np.arange(6.0).reshape(2, 3))
-    return 13
+def write_spectra_file(path):
+    write_file(path, {"method": "music", "order": 2, "n_grid": 3}, np.arange(6.0).reshape(2, 3))
+    return header_length(path)
 
 
 FORMATS = {
-    "records": (write_records_file, read_records, ValueError),
+    "spectra": (write_spectra_file, read_file, ValueError),
     "dataset": (write_dataset_file, read_dataset, ValueError),
     "checkpoint": (write_checkpoint, load_checkpoint, CheckpointError),
 }
 
 
 def corruptions(raw, header_len):
-    # every cut length, except inside the middle of a checkpoint's parameter
-    # entries, which repeat the layout of the first ones; this keeps the test
-    # short, and cuts the records and dataset files everywhere
+    # every cut length, except inside the middle of a checkpoint's payload,
+    # where each cut fails the same length check; this keeps the test short,
+    # and cuts the dataset and spectra files everywhere
     for size in range(len(raw)):
         if size < header_len + 1024 or size > len(raw) - 512:
             yield f"cut at {size}", raw[:size]

@@ -1,5 +1,4 @@
 import json
-import struct
 import tracemalloc
 
 import numpy as np
@@ -23,7 +22,7 @@ from spectralsr.model import (
     save_checkpoint,
     toy_config,
 )
-from spectralsr.signals import minmax_normalize
+from spectralsr.signals import minmax_normalize, read_file, write_file
 from spectralsr.train import TrainConfig
 
 
@@ -221,7 +220,9 @@ class TestCheckpoint:
         assert back.names() == store.names()
         for name in store.names():
             assert np.array_equal(back.params[name].data, store.params[name].data)
-        assert np.array_equal(back.opt_state["head.w"]["m"], 0.5 * np.ones_like(store.params["head.w"].data))
+        assert back.opt_state.keys() == store.opt_state.keys()
+        for key in ("m", "v"):
+            assert np.array_equal(back.opt_state["head.w"][key], store.opt_state["head.w"][key])
 
     def test_forward_identical_after_reload(self, tmp_path):
         store = make_store(seed=6)
@@ -239,14 +240,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_rejects_version_1(self, tmp_path):
-        # version 1 real-variant checkpoints carry the removed key bias
         store = make_store()
         path = tmp_path / "m.ckpt"
         save_checkpoint(store, path)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        raw = path.read_bytes()
+        size = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + size])
+        header["version"] = 1
+        text = json.dumps(header).encode()
+        path.write_bytes(raw[:4] + len(text).to_bytes(4, "little") + text + raw[8 + size :])
+        with pytest.raises(CheckpointError, match="unsupported file version 1"):
             load_checkpoint(path)
 
     def test_rejects_truncation(self, tmp_path):
@@ -290,14 +293,17 @@ class TestCheckpoint:
 
     @staticmethod
     def save_with_config(tmp_path, stored):
-        """A micro checkpoint whose config JSON is replaced by ``stored``."""
+        """A micro checkpoint whose stored config is replaced by ``stored``."""
         path = tmp_path / "m.ckpt"
         save_checkpoint(make_store(), path)
-        raw = path.read_bytes()
-        cfg_len = struct.unpack_from("<I", raw, 48)[0]
-        text = json.dumps(stored).encode()
-        path.write_bytes(raw[:48] + struct.pack("<I", len(text)) + text + raw[52 + cfg_len :])
+        header, payload = read_file(path)
+        write_file(path, {**header, "config": stored}, payload)
         return path
+
+    def test_rejects_a_stored_config_that_fails_its_hash(self, tmp_path):
+        path = self.save_with_config(tmp_path, {**micro_config().__dict__, "channels": 4})
+        with pytest.raises(CheckpointError, match="config hash mismatch"):
+            load_checkpoint(path)
 
     def test_rejects_unknown_config_key(self, tmp_path):
         path = self.save_with_config(tmp_path, {**micro_config().__dict__, "extra": 1})

@@ -1,24 +1,27 @@
+import errno
+import io
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from spectralsr import signals
 from spectralsr.signals import (
+    MAGIC,
     Dataset,
     FrequencyScene,
     SceneConfig,
     minmax_normalize,
     read_dataset,
-    read_records,
+    read_file,
     render_target,
     sample_scene,
-    scenes_from_json,
-    scenes_to_json,
     spectrum_grid,
     synthesize,
     wrapped_distance,
     write_dataset,
-    write_records,
+    write_file,
 )
 
 
@@ -184,17 +187,18 @@ def test_minmax_normalize_contract():
     assert np.all(minmax_normalize(np.full(8, 3.0 + 1j)) == 0)
 
 
-def test_scene_json_round_trip():
+def test_scene_json_round_trip(tmp_path):
     scenes = [
         FrequencyScene([0.1, -0.2], [1.0 + 2j, -0.5]),
         FrequencyScene([0.33], [0.25j]),
     ]
-    text = scenes_to_json(scenes, note="x")
-    back, payload = scenes_from_json(text)
-    assert payload["note"] == "x"
-    for a, b in zip(scenes, back):
-        assert np.allclose(a.freqs, b.freqs)
-        assert np.allclose(a.amps, b.amps)
+    path = tmp_path / "d.bin"
+    write_dataset(path, Dataset(scenes, np.ones((2, 4), complex), {"note": "x"}))
+    back = read_dataset(path)
+    assert back.meta == {"note": "x"}
+    for a, b in zip(scenes, back.scenes):
+        assert np.array_equal(a.freqs, b.freqs)
+        assert np.array_equal(a.amps, b.amps)
 
 
 @pytest.mark.parametrize("text", [
@@ -203,9 +207,15 @@ def test_scene_json_round_trip():
     '{"version": 1, "scenes": {}}',
     '{"version": 1, "scenes": [{"freqs": [0.1]}]}',
 ])
-def test_scene_json_rejects_malformed_header(text):
-    with pytest.raises(ValueError):
-        scenes_from_json(text)
+def test_scene_json_rejects_malformed_header(tmp_path, text):
+    path = tmp_path / "d.bin"
+    header = json.loads(text)
+    if isinstance(header, dict):  # write_file sets the version, dtype and shape
+        write_file(path, header, np.ones((1, 4), complex))
+    else:
+        path.write_bytes(MAGIC + len(text).to_bytes(4, "little") + text.encode())
+    with pytest.raises(ValueError, match="JSON object|scenes"):
+        read_dataset(path)
 
 
 def test_records_round_trip_complex_and_real(tmp_path):
@@ -213,36 +223,77 @@ def test_records_round_trip_complex_and_real(tmp_path):
     cpx = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
     real = rng.normal(size=(2, 5))
     p1, p2 = tmp_path / "c.bin", tmp_path / "r.bin"
-    write_records(p1, cpx)
-    write_records(p2, real)
-    assert np.array_equal(read_records(p1), cpx)
-    assert np.array_equal(read_records(p2), real)
+    write_file(p1, {"method": "music"}, cpx)
+    write_file(p2, {"snr_db": np.inf}, real)
+    header, back = read_file(p1)
+    assert header == {"method": "music"}
+    assert back.dtype == np.complex128 and np.array_equal(back, cpx)
+    header, back = read_file(p2)
+    assert header == {"snr_db": "inf"}
+    assert back.dtype == np.float64 and np.array_equal(back, real)
 
 
-def test_read_records_rejects_garbage(tmp_path):
+def test_read_file_rejects_garbage(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="bad magic"):
-        read_records(p)
+        read_file(p)
 
 
-def test_read_records_detects_truncation(tmp_path):
+def test_read_file_detects_truncation(tmp_path):
     p = tmp_path / "t.bin"
-    write_records(p, np.ones((2, 4)))
+    write_file(p, {}, np.ones((2, 4)))
     raw = p.read_bytes()
     p.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="payload bytes"):
-        read_records(p)
+        read_file(p)
+
+
+@pytest.mark.parametrize("header", [b'{"version": NaN}', b'{"shape": [Infinity]}'])
+def test_read_file_refuses_a_header_that_is_not_strict_json(tmp_path, header):
+    p = tmp_path / "h.bin"
+    p.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header)
+    with pytest.raises(ValueError, match="not strict JSON"):
+        read_file(p)
+
+
+def test_write_file_refuses_a_nan_header_and_writes_nothing(tmp_path):
+    with pytest.raises(ValueError):
+        write_file(tmp_path / "n.bin", {"snr_db": float("nan")}, np.ones(2))
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "d.bin"
+    write_file(path, {"step": 1}, np.ones((2, 4)))
+    old = path.read_bytes()
+
+    class DiskFull(io.FileIO):
+        """Takes the magic and header, then fails on the payload."""
+
+        def write(self, data):
+            if self.tell():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(signals, "open", lambda p, mode: DiskFull(p, mode.replace("b", "")),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_file(path, {"step": 2}, np.zeros((2, 4)))
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_dataset_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     scenes = [FrequencyScene([0.1], [1.0]), FrequencyScene([0.2, 0.3], [1j, 2.0])]
     signals = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    meta = {"snr_db": 20.0, "seed": 3, "n_sr": 64}
     path = tmp_path / "d.bin"
-    write_dataset(path, Dataset(scenes, signals, {"snr_db": 20.0}))
+    write_dataset(path, Dataset(scenes, signals, meta))
     back = read_dataset(path)
-    assert back.meta["snr_db"] == 20.0
+    assert back.meta == meta
     assert np.array_equal(back.signals, signals)
     assert len(back.scenes) == 2
-    assert np.allclose(back.scenes[1].amps, [1j, 2.0])
+    for a, b in zip(scenes, back.scenes):
+        assert np.array_equal(a.freqs, b.freqs) and np.array_equal(a.amps, b.amps)
