@@ -249,7 +249,7 @@ def sidelobe_experiment(
     for sep in separations:
         for snr_db in snrs_db:
             rng = np.random.default_rng(
-                np.random.SeedSequence([seed, int(sep * 10), int(snr_db)])
+                np.random.SeedSequence([seed, int(round(sep * 1000)), int(snr_db)])
             )
             f1 = 0.1
             f2 = f1 + sep / n_grid

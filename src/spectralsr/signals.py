@@ -71,7 +71,9 @@ def sample_scene(rng, cfg=None):
     freqs = []
     for _ in range(cfg.max_tries):
         f = float(rng.uniform(-0.5, 0.5))
-        if all(wrapped_distance(f, g) >= sep for g in freqs):
+        # wrapped_distance on Python floats, without a numpy call per pair
+        gaps = (abs(f - g) % 1.0 for g in freqs)
+        if all(min(d, 1.0 - d) >= sep for d in gaps):
             freqs.append(f)
             if len(freqs) == count:
                 break
@@ -324,4 +326,6 @@ def read_dataset(path):
         raise ValueError(f"{path}: {len(scenes)} scenes in the header, payload of shape {signals.shape}")
     if not scenes:
         raise ValueError(f"{path}: the dataset has no records")
+    if signals.shape[1] == 0:
+        raise ValueError(f"{path}: the signals have no samples")
     return Dataset(scenes, signals, header)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectralsr import classical
 from spectralsr.classical import (
     music,
     omp,
@@ -20,9 +23,9 @@ def dense_atoms(n, n_grid):
     return np.exp(2j * np.pi * np.outer(np.arange(n), spectrum_grid(n_grid)))
 
 
-def dense_music(signal, order, n_grid, atoms=None):
+def dense_music(signal, order, n_grid, atoms=None, m=None):
     """MUSIC from the noise subspace directly; ``atoms`` may pass in dense_atoms(m, n_grid)."""
-    m = len(signal) // 2
+    m = len(signal) // 2 if m is None else m
     _, vecs = np.linalg.eigh(sample_covariance(signal, m))
     atoms = dense_atoms(m, n_grid) if atoms is None else atoms
     proj = vecs[:, : m - order].conj().T @ atoms
@@ -45,6 +48,52 @@ def dense_omp(signal, n_grid, sparsity):
         coeffs = sol
         residual = signal - atoms[:, selected] @ coeffs
     return selected, coeffs
+
+
+# The references below are the estimators' code before the one-row MUSIC
+# scan and the per-call trims; the trimmed code must match them bit for bit.
+
+
+def reference_grid_dft(x, n_grid):
+    n = x.shape[-1]
+    x = x * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    if n > n_grid:
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, -n % n_grid)])
+        x = x.reshape(*x.shape[:-1], x.shape[-1] // n_grid, n_grid).sum(axis=-2)
+    return np.fft.fft(x, n_grid)
+
+
+def reference_sample_covariance(signal, m):
+    windows = np.lib.stride_tricks.sliding_window_view(signal, m)
+    r_fwd = windows.T @ windows.conj()
+    r_bwd = r_fwd[::-1, ::-1].conj()
+    return (r_fwd + r_bwd) / (2.0 * windows.shape[0])
+
+
+def reference_omp(signal, n_grid, sparsity):
+    """(freqs, amps, residual_history, truncated) of OMP rebuilding every
+    selected atom from the whole grid at each iteration."""
+    n = len(signal)
+    grid = spectrum_grid(n_grid)
+    residual, selected = signal.copy(), []
+    coeffs = np.zeros(0, dtype=np.complex128)
+    history, truncated = [float(np.linalg.norm(residual))], False
+    for _ in range(sparsity):
+        best = int(np.argmax(np.abs(reference_grid_dft(residual, n_grid))))
+        if best in selected:
+            truncated = True
+            break
+        selected.append(best)
+        sub = np.exp(2j * np.pi * np.outer(np.arange(n), grid[selected])) / np.sqrt(n)
+        sol, _, rank, _ = np.linalg.lstsq(sub, signal, rcond=None)
+        if rank < len(selected):
+            selected.pop()
+            truncated = True
+            break
+        coeffs = sol
+        residual = signal - sub @ coeffs
+        history.append(float(np.linalg.norm(residual)))
+    return grid[selected], coeffs, history, truncated
 
 
 def top_local_maxima(p, count):
@@ -275,3 +324,68 @@ class TestGridScanOracle:
                 omp(sig, n_grid, sparsity=sparsity)
         with pytest.raises(ValueError):
             periodogram(sig, n_fft=n_grid)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 10])
+def test_music_scans_the_grid_with_one_fft_of_one_row(monkeypatch, order):
+    shapes, grid_dft = [], classical._grid_dft
+
+    def recording(x, n_grid):
+        shapes.append(np.shape(x))
+        return grid_dft(x, n_grid)
+
+    monkeypatch.setattr(classical, "_grid_dft", recording)
+    music(noisy_tones(0, 64), order=order, n_grid=256)
+    assert shapes == [(32,)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_music_matches_dense_scan_over_drawn_sizes(data):
+    # the order is drawn apart from the signal's three tones: an order above
+    # three leaves few noise eigenvectors, and their power can have nulls
+    # deep enough that a scan exact only in absolute terms misses the bound
+    n = data.draw(st.integers(2, 80), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    order = data.draw(st.integers(0, m - 1), label="order")
+    n_grid = data.draw(st.one_of(st.integers(1, 2 * m - 1), st.sampled_from([255, 256, 4096])),
+                       label="n_grid")
+    sig = noisy_tones(data.draw(st.integers(0, 2**32 - 1), label="seed"), n)
+    ref = dense_music(sig, order, n_grid, m=m)
+    assert np.max(np.abs(music(sig, order, m=m, n_grid=n_grid) - ref)) <= 1e-9 * ref.max()
+
+
+class TestBitIdentity:
+    """The trimmed estimators against the references above, on seeded draws."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_dft(self, seed):
+        rng = np.random.default_rng(seed)
+        for n, n_grid in [(1, 1), (7, 4), (64, 255), (64, 4096), (300, 256), (33, 32)]:
+            x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            assert np.array_equal(classical._grid_dft(x, n_grid), reference_grid_dft(x, n_grid))
+            assert np.array_equal(classical._grid_dft(x[0], n_grid),
+                                  reference_grid_dft(x[0], n_grid))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sample_covariance(self, seed):
+        rng = np.random.default_rng(seed)
+        for n, m in [(1, 1), (8, 8), (12, 4), (64, 32), (65, 32), (100, 7)]:
+            sig = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert np.array_equal(sample_covariance(sig, m), reference_sample_covariance(sig, m))
+
+    @pytest.mark.parametrize("n, n_grid", [(8, 4), (16, 16), (64, 255), (64, 4096), (300, 256)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_omp(self, n, n_grid, seed):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, n, n_grid]))
+        signals = [np.zeros(n, dtype=complex), noisy_tones(seed, n)]
+        for _ in range(4):
+            scene = sample_scene(rng)
+            signals.append(synthesize(scene, n, float(rng.uniform(-10, 40)), rng))
+        for sig in signals:
+            for sparsity in (0, 1, 3, min(n, 10), min(n, n_grid + 1, 20)):
+                res = omp(sig, n_grid, sparsity)
+                freqs, amps, history, truncated = reference_omp(sig, n_grid, sparsity)
+                assert np.array_equal(res.freqs, freqs) and np.array_equal(res.amps, amps)
+                assert res.residual_history == history and res.residual_norm == history[-1]
+                assert res.truncated == truncated

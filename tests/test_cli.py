@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,18 @@ def test_eval_header_without_scenes_exits_1_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(data) in err and "scenes" in err
+
+
+@pytest.mark.parametrize("method", ["periodogram", "music", "omp"])
+def test_eval_signals_of_no_samples_exit_1_with_one_line(tmp_path, capsys, method):
+    data = tmp_path / "d.bin"
+    write_signals(data, np.zeros((2, 0), complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print before the error line
+        assert run(["eval", "--data", data, "--method", method]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data) in err and "no samples" in err
 
 
 def test_generate_noiseless_header_is_strict_json(tmp_path):

@@ -223,6 +223,19 @@ class TestExperiments:
         assert lines[0] == "frequency,periodogram,truth_f1,truth_f2"
         assert len(lines) == 129
 
+    def test_sidelobe_separations_draw_their_own_noise(self):
+        # 0.6 and 0.65 once shared a seed key, int(sep * 10) = 6, and so their noise
+        noise = []
+
+        def record(signal, scene):
+            drawn = signal - synthesize(scene, len(signal))
+            noise.append(drawn / np.linalg.norm(drawn))
+            return np.zeros(64)
+
+        sidelobe_experiment({"record": record}, separations=(0.6, 0.65), snrs_db=(0.0,),
+                            n=32, n_grid=64, seed=0)
+        assert len(noise) == 2 and not np.allclose(noise[0], noise[1], atol=0.1)
+
     def test_nan_estimate_counts_as_error_in_psnr_sweep(self):
         def diverged(signal, scene):
             return np.full(256, np.nan)

@@ -53,6 +53,46 @@ def test_sample_scene_respects_config():
                 assert wrapped_distance(f[i], f[j]) >= 0.01
 
 
+def reference_sample_scene(rng, cfg):
+    """``sample_scene`` as it was written before its rejection test moved
+    to Python floats: ``wrapped_distance`` called once per pair."""
+    count = int(rng.integers(cfg.l_min, cfg.l_max + 1))
+    sep = cfg.separation()
+    freqs = []
+    for _ in range(cfg.max_tries):
+        f = float(rng.uniform(-0.5, 0.5))
+        if all(wrapped_distance(f, g) >= sep for g in freqs):
+            freqs.append(f)
+            if len(freqs) == count:
+                break
+    else:
+        raise RuntimeError("scene sampling failed")
+    mod = np.exp(rng.uniform(np.log(0.1), np.log(1.0), size=count))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return FrequencyScene(np.array(freqs), mod * np.exp(1j * phase))
+
+
+@pytest.mark.parametrize("cfg", [
+    SceneConfig(),
+    SceneConfig(l_min=1, l_max=1, n_sr=64),
+    SceneConfig(l_min=5, l_max=10, min_separation=0.04),  # many rejected draws
+    SceneConfig(l_min=8, l_max=8, min_separation=0.1, max_tries=300),  # often fails
+    SceneConfig(l_min=2, l_max=4, min_separation=0.0),
+], ids=["default", "one-tone", "crowded", "infeasible", "no-spacing"])
+def test_sample_scene_matches_the_per_pair_reference_bit_for_bit(cfg):
+    for seed in range(40):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = reference_sample_scene(ref_rng, cfg)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="scene sampling failed"):
+                sample_scene(rng, cfg)
+        else:
+            got = sample_scene(rng, cfg)
+            assert np.array_equal(got.freqs, want.freqs) and np.array_equal(got.amps, want.amps)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_sample_scene_infeasible_spacing_raises():
     # 10 tones at spacing 0.2 cannot fit on the unit circle
     cfg = SceneConfig(l_min=10, l_max=10, min_separation=0.2, max_tries=200)
