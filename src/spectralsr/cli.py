@@ -93,10 +93,12 @@ def _build_parser():
     cmp_p.add_argument("--checkpoint", default=None)
     cmp_p.add_argument("--out", default=None, help="output path prefix")
     cmp_p.add_argument("--seed", type=int, default=0)
-    cmp_p.add_argument("--trials", type=_positive_int, default=200)
+    cmp_p.add_argument("--trials", type=_positive_int, default=None,
+                       help="trials per point, resolution and psnr only (default 200)")
     cmp_p.add_argument("--n", type=_positive_int, default=64)
     cmp_p.add_argument("--n-grid", type=_positive_int, default=4096)
-    cmp_p.add_argument("--snr", type=_snr_db, default=20.0)
+    cmp_p.add_argument("--snr", type=_snr_db, default=None,
+                       help="SNR in dB, resolution only (default 20; inf = noiseless)")
 
     base = sub.add_parser("baseline", help="run a classical estimator over a dataset's signals")
     base.add_argument("--method", required=True, choices=ev.CLASSICAL_METHODS)
@@ -220,6 +222,14 @@ def _cmd_eval(args):
     return 0
 
 
+# the sweep options each experiment takes: flag -> keyword of its driver
+_COMPARE_OPTIONS = {
+    "resolution": {"snr": "snr_db", "trials": "trials"},
+    "psnr": {"trials": "trials"},
+    "sidelobe": {},
+}
+
+
 def _cmd_compare(args):
     names = [s.strip() for s in args.methods.split(",") if s.strip()]
     if not names:
@@ -227,6 +237,14 @@ def _cmd_compare(args):
     checkpoint = _load_model(names, args.checkpoint)
     _check_model_size(checkpoint, args.n, args.n_grid,
                       f"--n is {args.n} and --n-grid is {args.n_grid}")
+    takes, options = _COMPARE_OPTIONS[args.experiment], {}
+    for flag in ("snr", "trials"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in takes:
+            raise ConfigError(f"--experiment {args.experiment} does not use --{flag}")
+        options[takes[flag]] = value
     methods = {name: ev.make_method(name, args.n_grid, checkpoint) for name in names}
     prefix = args.out or f"compare_{args.experiment}"
     if args.experiment == "sidelobe":
@@ -239,15 +257,8 @@ def _cmd_compare(args):
                 fh.write(csv_text)
             print(f"wrote {path}")
         return 0
-    if args.experiment == "resolution":
-        report = ev.resolution_sweep(
-            methods, snr_db=args.snr, trials=args.trials, n=args.n,
-            n_grid=args.n_grid, seed=args.seed,
-        )
-    else:
-        report = ev.psnr_vs_snr(
-            methods, trials=args.trials, n=args.n, n_grid=args.n_grid, seed=args.seed
-        )
+    sweep = ev.resolution_sweep if args.experiment == "resolution" else ev.psnr_vs_snr
+    report = sweep(methods, n=args.n, n_grid=args.n_grid, seed=args.seed, **options)
     with open(prefix + ".json", "w") as fh:
         fh.write(report.to_json())
     with open(prefix + ".csv", "w") as fh:

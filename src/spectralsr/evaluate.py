@@ -187,6 +187,12 @@ def _paired_trials(experiment, methods, x_values, trials, seed, key, draw, score
                             config, seed, errors, failures)
 
 
+def _snr_key(snr_db):
+    """A non-negative int seed key, distinct for each distinct SNR, ``inf``
+    and negative SNRs included: the bits of the float64 value."""
+    return int((np.float64(snr_db) + 0.0).view(np.uint64))  # + 0.0 maps -0.0 to 0.0
+
+
 def resolution_sweep(methods, separations=None, snr_db=20.0, trials=200, n=64, n_grid=4096, seed=0):
     """Resolution probability of two-tone scenes versus separation.
 
@@ -223,7 +229,7 @@ def psnr_vs_snr(methods, snr_grid=None, trials=200, n=64, n_grid=4096, seed=0):
 
     return _paired_trials(
         "psnr_vs_snr", methods, snr_grid, trials, seed,
-        key=lambda snr_db: int(snr_db) + 1000,
+        key=_snr_key,
         draw=draw,
         score=lambda estimate, target: psnr(estimate, target),
         config={"n": n, "n_grid": n_grid, "trials": trials},
@@ -249,7 +255,7 @@ def sidelobe_experiment(
     for sep in separations:
         for snr_db in snrs_db:
             rng = np.random.default_rng(
-                np.random.SeedSequence([seed, int(round(sep * 1000)), int(snr_db)])
+                np.random.SeedSequence([seed, int(round(sep * 1000)), _snr_key(snr_db)])
             )
             f1 = 0.1
             f2 = f1 + sep / n_grid

@@ -569,3 +569,29 @@ def test_eval_checkpoint_of_another_size_is_a_usage_error(tmp_path, capsys, sign
     assert f"n = {signal_dim} samples" in line and f"n_sr = {n_sr} bins" in line
     assert str(data) in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,flags", [
+    ("psnr", ["--snr", 5]),
+    ("sidelobe", ["--snr", 5]),
+    ("sidelobe", ["--trials", 3]),
+], ids=["psnr-snr", "sidelobe-snr", "sidelobe-trials"])
+def test_compare_flag_the_experiment_does_not_use_is_a_usage_error(
+        tmp_path, capsys, experiment, flags):
+    code = run(["compare", "--methods", "periodogram", "--experiment", experiment,
+                "--n", 16, "--n-grid", 64, "--out", tmp_path / "x"] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "Traceback" not in err
+    line = next(x for x in err.splitlines() if x.startswith("error: "))
+    assert line == f"error: --experiment {experiment} does not use {flags[0]}"
+    assert not list(tmp_path.iterdir())
+
+
+def test_compare_resolution_defaults_to_20_db_and_200_trials(tmp_path):
+    prefix = tmp_path / "r"
+    assert run(["compare", "--methods", "periodogram", "--experiment", "resolution",
+                "--n", 16, "--n-grid", 64, "--out", prefix]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["config"]["snr_db"] == 20.0 and report["config"]["trials"] == 200
+    assert set(report["trial_counts"]) == {200}

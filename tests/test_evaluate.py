@@ -19,6 +19,20 @@ from spectralsr.model import init_model, micro_config
 from spectralsr.signals import FrequencyScene, spectrum_grid, synthesize
 
 
+def sidelobe_noise(separations, snrs_db):
+    """The unit-norm noise of each ``sidelobe_experiment`` condition, in its order."""
+    noise = []
+
+    def record(signal, scene):
+        drawn = signal - synthesize(scene, len(signal))
+        noise.append(drawn / np.linalg.norm(drawn))
+        return np.zeros(64)
+
+    sidelobe_experiment({"record": record}, separations=separations, snrs_db=snrs_db,
+                        n=32, n_grid=64, seed=0)
+    return noise
+
+
 class TestPsnr:
     def test_matches_hand_computation(self):
         target = np.array([0.0, 2.0, 0.0, 0.0])
@@ -225,15 +239,7 @@ class TestExperiments:
 
     def test_sidelobe_separations_draw_their_own_noise(self):
         # 0.6 and 0.65 once shared a seed key, int(sep * 10) = 6, and so their noise
-        noise = []
-
-        def record(signal, scene):
-            drawn = signal - synthesize(scene, len(signal))
-            noise.append(drawn / np.linalg.norm(drawn))
-            return np.zeros(64)
-
-        sidelobe_experiment({"record": record}, separations=(0.6, 0.65), snrs_db=(0.0,),
-                            n=32, n_grid=64, seed=0)
+        noise = sidelobe_noise(separations=(0.6, 0.65), snrs_db=(0.0,))
         assert len(noise) == 2 and not np.allclose(noise[0], noise[1], atol=0.1)
 
     def test_nan_estimate_counts_as_error_in_psnr_sweep(self):
@@ -253,3 +259,34 @@ class TestExperiments:
             "diverged": "ValueError: PSNR undefined for an estimate with a non-finite value"
         }
         assert json.loads(report.to_json())["curves"]["diverged"] == [None]
+
+
+class TestSnrSeedKeys:
+    """Sweep trial streams are keyed by the SNR itself, not a truncation of it."""
+
+    @staticmethod
+    def psnr_scenes(snr_db):
+        scenes = []
+
+        def record(signal, scene):
+            scenes.append(list(scene.freqs))
+            return np.ones(256)
+
+        report = psnr_vs_snr({"record": record}, snr_grid=[snr_db], trials=2, n=32, n_grid=256,
+                             seed=1)
+        assert report.errors == {"record": 0}
+        return scenes
+
+    def test_a_noiseless_point_runs(self):
+        assert len(self.psnr_scenes(np.inf)) == 2
+
+    def test_a_negative_snr_runs(self):
+        assert len(self.psnr_scenes(-10)) == 2
+
+    def test_nearby_snrs_draw_their_own_scenes(self):
+        # int(snr_db) once keyed 10.2 and 10.7 dB alike, so they shared every scene
+        assert self.psnr_scenes(10.2) != self.psnr_scenes(10.7)
+
+    def test_sidelobe_snrs_draw_their_own_noise(self):
+        noise = sidelobe_noise(separations=(0.6,), snrs_db=(10.2, 10.7))
+        assert len(noise) == 2 and not np.allclose(noise[0], noise[1], atol=0.1)
