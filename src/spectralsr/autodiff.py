@@ -1,10 +1,17 @@
-"""Minimal reverse-mode autodiff engine over numpy float64 arrays.
+"""Minimal reverse-mode autodiff engine over numpy float64 and complex128 arrays.
 
-Every differentiable quantity is a real-valued ``Tensor``.  Complex
-quantities are handled one level up (see :mod:`spectralsr.cvops`) as
-pairs of real tensors, so gradients of a real loss with respect to the
-real and imaginary parts come out of the same machinery with no special
-casing.
+A ``Tensor`` holds float64 or complex128 data.  The gradient of a real
+loss ``L`` with respect to a complex tensor ``z`` is stored as
+``dL/dRe(z) + i dL/dIm(z)`` (the conjugate-Wirtinger convention), so each
+op's backward is the real one with conjugated operands: ``y = a * b``
+hands ``g * conj(b)`` to ``a`` and ``y = x @ w`` hands ``g @ wᴴ`` to
+``x`` and ``xᴴ @ g`` to ``w``.  A real tensor that receives a complex
+gradient keeps its real part (``Tensor._accumulate``), which is the
+gradient with respect to a real coordinate.  :func:`join` builds a
+complex tensor from a real and an imaginary part, and ``real()`` /
+``imag()`` split one; complex parameters stay pairs of real leaves (see
+:mod:`spectralsr.cvops`).  ``sqrt``, ``relu``, :func:`softmax` and
+:func:`conv_transpose1d` take real tensors only.
 
 Each op builds its output with ``Tensor(data, _parents=..., _backward=...)``;
 the constructor records that tape entry only while grad mode is on, so
@@ -39,7 +46,7 @@ import ctypes
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "where", "softmax", "modulus", "conv1d", "conv_transpose1d"]
+__all__ = ["Tensor", "no_grad", "join", "softmax", "modulus", "conv1d", "conv_transpose1d"]
 
 ROOT_EPS = 1e-12  # sqrt and modulus floor their value at this in their derivatives
 
@@ -91,6 +98,19 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
+def _conj(a):
+    """The complex conjugate of ``a``; a real array is returned as it is."""
+    return a.conj() if a.dtype.kind == "c" else a
+
+
+def _as_data(data):
+    """``data`` as a float64 array, or as complex128 when it is complex."""
+    data = np.asarray(data)
+    if data.dtype.char in "dD":  # float64, complex128
+        return data
+    return data.astype(np.complex128 if data.dtype.kind == "c" else np.float64)
+
+
 def _unbroadcast(grad, shape):
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
     if grad.shape == shape:
@@ -105,16 +125,21 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    """An n-d real array with an optional gradient and a recorded reverse pass."""
+    """An n-d float64 or complex128 array with an optional gradient and a
+    recorded reverse pass.  Any other input dtype becomes float64, or
+    complex128 when it is complex."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _as_data(data)
         self.grad = None
-        if _parents and not _GRAD_ENABLED.get():
-            _parents, _backward = (), None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        if _parents:
+            if not _GRAD_ENABLED.get():
+                _parents, _backward = (), None
+            elif not requires_grad:
+                requires_grad = any(p.requires_grad for p in _parents)
+        self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
 
@@ -138,17 +163,20 @@ class Tensor:
     def _accumulate(self, grad):
         """Add ``grad``, in any shape that broadcasts to this tensor's, to ``.grad``.
 
-        A later gradient is added out of place.  The first one is kept by
-        reference when its memory layout matches the data's, else copied
-        into an array laid out like the data, so downstream BLAS calls see
-        the same strides either way.
+        A real tensor keeps only the real part of a complex gradient.  A
+        later gradient is added out of place.  The first one is kept by
+        reference when its dtype and memory layout match the data's, else
+        copied into an array laid out like the data, so downstream BLAS
+        calls see the same dtype and strides either way.
         """
         if not self.requires_grad:
             return
         grad = _unbroadcast(grad, self.shape)
+        if grad.dtype.kind == "c" and self.data.dtype.kind != "c":
+            grad = grad.real
         if self.grad is not None:
             self.grad = self.grad + grad
-        elif grad.strides == self.data.strides:
+        elif grad.strides == self.data.strides and grad.dtype == self.data.dtype:
             self.grad = grad
         else:
             self.grad = np.empty_like(self.data)
@@ -224,8 +252,8 @@ class Tensor:
         other = Tensor._wrap(other)
 
         def back(g):
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
+            self._accumulate(g * _conj(other.data))
+            other._accumulate(g * _conj(self.data))
 
         return Tensor(self.data * other.data, _parents=(self, other), _backward=back)
 
@@ -235,8 +263,8 @@ class Tensor:
         other = Tensor._wrap(other)
 
         def back(g):
-            self._accumulate(g / other.data)
-            other._accumulate(-g * self.data / other.data**2)
+            self._accumulate(g / _conj(other.data))
+            other._accumulate(-g * _conj(self.data) / _conj(other.data) ** 2)
 
         return Tensor(self.data / other.data, _parents=(self, other), _backward=back)
 
@@ -249,7 +277,7 @@ class Tensor:
         e = np.exp(self.data)
 
         def back(g):
-            self._accumulate(g * e)
+            self._accumulate(g * _conj(e))
 
         return Tensor(e, _parents=(self,), _backward=back)
 
@@ -268,11 +296,23 @@ class Tensor:
 
         return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _backward=back)
 
-    def clamp_min(self, lo):
+    def conj(self):
         def back(g):
-            self._accumulate(g * (self.data >= lo))
+            self._accumulate(g.conj())
 
-        return Tensor(np.maximum(self.data, lo), _parents=(self,), _backward=back)
+        return Tensor(self.data.conj(), _parents=(self,), _backward=back)
+
+    def real(self):
+        def back(g):
+            self._accumulate(g)
+
+        return Tensor(self.data.real, _parents=(self,), _backward=back)
+
+    def imag(self):
+        def back(g):
+            self._accumulate(1j * g)
+
+        return Tensor(self.data.imag, _parents=(self,), _backward=back)
 
     # -- reductions ----------------------------------------------------
 
@@ -339,23 +379,48 @@ class Tensor:
         other = Tensor._wrap(other)
 
         def back(g):
-            self._accumulate(g @ np.swapaxes(other.data, -1, -2))
-            other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
+            self._accumulate(g @ _conj(np.swapaxes(other.data, -1, -2)))
+            other._accumulate(_conj(np.swapaxes(self.data, -1, -2)) @ g)
 
         return Tensor(self.data @ other.data, _parents=(self, other), _backward=back)
 
 
-def where(mask, a, b):
-    """Select elementwise by a constant boolean mask (mask is not differentiated)."""
-    mask = np.asarray(mask, dtype=bool)
-    a = Tensor._wrap(a)
-    b = Tensor._wrap(b)
+def join(re, im):
+    """The complex tensor ``re + i im`` of two real tensors of one shape.
+
+    Backward hands the real part of the gradient to ``re`` and the
+    imaginary part to ``im``.
+    """
+    data = np.empty(re.shape, dtype=np.complex128)
+    data.real = re.data
+    data.imag = im.data
 
     def back(g):
-        a._accumulate(np.where(mask, g, 0.0))
-        b._accumulate(np.where(mask, 0.0, g))
+        re._accumulate(g.real)
+        im._accumulate(g.imag)
 
-    return Tensor(np.where(mask, a.data, b.data), _parents=(a, b), _backward=back)
+    return Tensor(data, _parents=(re, im), _backward=back)
+
+
+def _last_axis_max(a):
+    """``a.max(axis=-1, keepdims=True)`` by halving the last axis with
+    ``np.maximum``: a reduction over a short last axis takes about twice as
+    long (16 entries, as in an attention row)."""
+    while a.shape[-1] > 1:
+        half = a.shape[-1] // 2
+        top = np.maximum(a[..., :half], a[..., half : 2 * half])
+        a = np.maximum(top, a[..., -1:]) if a.shape[-1] % 2 else top
+    return a
+
+
+def softmax_array(a):
+    """The softmax of a float64 array over its last axis, the row maximum
+    subtracted first.  The row sums go through ``einsum``, which is about
+    four times as fast as ``sum`` over a short last axis."""
+    y = a - _last_axis_max(a)
+    np.exp(y, out=y)
+    y /= np.einsum("...i->...", y)[..., None]
+    return y
 
 
 def softmax(x, axis=-1):
@@ -363,9 +428,7 @@ def softmax(x, axis=-1):
 
     Backward: ``y * (g - sum(g * y))``, the sum taken along ``axis``.
     """
-    y = x.data - np.max(x.data, axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y = np.moveaxis(softmax_array(np.moveaxis(x.data, axis, -1)), -1, axis)
 
     def back(g):
         x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
@@ -373,20 +436,20 @@ def softmax(x, axis=-1):
     return Tensor(y, _parents=(x,), _backward=back)
 
 
-def modulus(re, im):
-    """sqrt(re^2 + im^2) with gradients floored at ``ROOT_EPS`` to stay bounded at 0."""
-    m = np.sqrt(re.data**2 + im.data**2)
-    denom = np.maximum(m, ROOT_EPS)
+def modulus(z):
+    """``|z|`` of a complex tensor; the backward ``g z / max(|z|, ROOT_EPS)``
+    stays bounded at 0."""
+    m = np.abs(z.data)
 
     def back(g):
-        re._accumulate(g * re.data / denom)
-        im._accumulate(g * im.data / denom)
+        z._accumulate(g * z.data / np.maximum(m, ROOT_EPS))
 
-    return Tensor(m, _parents=(re, im), _backward=back)
+    return Tensor(m, _parents=(z,), _backward=back)
 
 
 def conv1d(x, w, stride=1, padding=0):
-    """Cross-correlation of ``x`` [B, Cin, M] with kernels ``w`` [Cout, Cin, k]."""
+    """Cross-correlation of ``x`` [B, Cin, M] with kernels ``w`` [Cout, Cin, k],
+    real or complex."""
     xd, wd = x.data, w.data
     if xd.ndim != 3 or wd.ndim != 3:
         raise ValueError("conv1d expects x [B, Cin, M] and w [Cout, Cin, k]")
@@ -400,11 +463,13 @@ def conv1d(x, w, stride=1, padding=0):
     patches = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
 
     def back(g):
-        w._accumulate(np.einsum("bom,bcmk->ock", g, patches, optimize=True))
-        gx = np.zeros_like(xp)
+        # conj(einsum(conj(g), patches)) conjugates the small gradient, not the patches
+        w._accumulate(_conj(np.einsum("bom,bcmk->ock", _conj(g), patches, optimize=True)))
+        wc = _conj(wd)
+        gx = np.zeros(xp.shape, dtype=data.dtype)
         for t in range(k):
             gx[:, :, t : t + stride * m_out : stride] += np.einsum(
-                "bom,oc->bcm", g, wd[:, :, t], optimize=True
+                "bom,oc->bcm", g, wc[:, :, t], optimize=True
             )
         x._accumulate(gx[:, :, padding : gx.shape[2] - padding])
 

@@ -1,107 +1,115 @@
-"""Complex-valued differentiable operators built on the real autodiff engine.
+"""Complex-valued differentiable operators on the autodiff engine.
 
-A complex tensor is a pair of real :class:`~spectralsr.autodiff.Tensor`
-objects (real and imaginary parts).  A real loss is then differentiated
-with respect to both parts independently, which makes finite-difference
-validation straightforward (see :func:`grad_check`).
+A complex tensor is a :class:`CTensor`: one complex128
+:class:`~spectralsr.autodiff.Tensor`, whose gradient is
+``dL/dRe + i dL/dIm``, so a complex product is one complex ``@`` or
+``conv1d`` call.  A complex parameter is still a pair of real leaves
+(``<name>.re`` / ``<name>.im``), joined into one complex value where it is
+used, so optimizers, checkpoints and :func:`grad_check` see only real
+tensors and perturb the real and imaginary parts independently.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv1d, modulus, no_grad, softmax, where
+from .autodiff import ROOT_EPS, Tensor, conv1d, join, modulus, no_grad, softmax, softmax_array
 
 SOFTMAX_EPS = 1e-12  # below this modulus the phase is defined as 1
 NORM_EPS = 1e-5  # variance ridge of the real and complex layer norms
 MASK_NEG = -1e9  # additive attention logit of a masked pair
 
 
-@dataclass
 class CTensor:
-    """A complex tensor as independent real/imaginary real tensors."""
+    """A complex tensor: one complex128 ``Tensor``, or a pair of real leaves.
 
-    re: Tensor
-    im: Tensor
+    ``CTensor(z)`` wraps the complex tensor ``z``.  ``CTensor(re, im)``
+    holds two real tensors, such as a complex parameter's leaves; reading
+    ``z`` then joins them with a new :func:`~spectralsr.autodiff.join`
+    node each time, so a leaf changed in place is seen by the next use.
+    ``re`` and ``im`` are the leaves of a pair, and split nodes otherwise.
+    """
+
+    __slots__ = ("_z", "_parts")
+
+    def __init__(self, re, im=None):
+        self._z, self._parts = (re, None) if im is None else (None, (re, im))
+
+    @property
+    def z(self):
+        return self._z if self._parts is None else join(*self._parts)
+
+    @property
+    def re(self):
+        return self._z.real() if self._parts is None else self._parts[0]
+
+    @property
+    def im(self):
+        return self._z.imag() if self._parts is None else self._parts[1]
 
     @property
     def shape(self):
-        return self.re.shape
+        return (self._z if self._parts is None else self._parts[0]).shape
 
     @property
     def ndim(self):
-        return self.re.ndim
+        return len(self.shape)
 
     def numpy(self):
-        return self.re.data + 1j * self.im.data
+        return self.z.data
 
     @staticmethod
     def from_numpy(z, requires_grad=False):
+        """A constant complex tensor, or with ``requires_grad`` a pair of real leaves."""
         z = np.asarray(z, dtype=np.complex128)
-        return CTensor(Tensor(z.real.copy(), requires_grad), Tensor(z.imag.copy(), requires_grad))
+        if requires_grad:
+            return CTensor(Tensor(z.real.copy(), True), Tensor(z.imag.copy(), True))
+        return CTensor(Tensor(z))
 
     def __add__(self, other):
-        return CTensor(self.re + other.re, self.im + other.im)
+        return CTensor(self.z + _value(other))
 
     def __mul__(self, other):
-        """Scale both parts by a real constant or real tensor."""
-        return CTensor(self.re * other, self.im * other)
-
-    def reshape(self, *shape):
-        return CTensor(self.re.reshape(*shape), self.im.reshape(*shape))
-
-    def transpose(self, axes):
-        return CTensor(self.re.transpose(axes), self.im.transpose(axes))
-
-    def swap_last2(self):
-        return CTensor(self.re.swap_last2(), self.im.swap_last2())
-
-    def roll(self, shift, axis):
-        return CTensor(self.re.roll(shift, axis), self.im.roll(shift, axis))
-
-    def gather_last(self, idx):
-        return CTensor(self.re.gather_last(idx), self.im.gather_last(idx))
+        return CTensor(self.z * _value(other))
 
     def __matmul__(self, other):
-        return cmatmul(self, other)
+        return CTensor(self.z @ _value(other))
+
+    def reshape(self, *shape):
+        return CTensor(self.z.reshape(*shape))
+
+    def transpose(self, axes):
+        return CTensor(self.z.transpose(axes))
+
+    def swap_last2(self):
+        return CTensor(self.z.swap_last2())
+
+    def roll(self, shift, axis):
+        return CTensor(self.z.roll(shift, axis))
+
+    def gather_last(self, idx):
+        return CTensor(self.z.gather_last(idx))
 
     def modulus(self):
-        return modulus(self.re, self.im)
+        return modulus(self.z)
 
 
-def _gauss(product, x, w):
-    """A real-bilinear ``product`` of complex ``x`` and ``w`` in three real products.
-
-    Re(y) = k1 - k3, Im(y) = k1 + k2 with
-    k1 = (Re x + Im x) Re w, k2 = Re x (Im w - Re w), k3 = Im x (Re w + Im w).
-    """
-    k1 = product(x.re + x.im, w.re)
-    k2 = product(x.re, w.im - w.re)
-    k3 = product(x.im, w.re + w.im)
-    return CTensor(k1 - k3, k1 + k2)
-
-
-def cmatmul(x, w):
-    """Complex matrix product via Gauss' three-multiplication trick."""
-    return _gauss(operator.matmul, x, w)
+def _value(x):
+    """The ``Tensor`` (or constant) behind ``x``."""
+    return x.z if isinstance(x, CTensor) else x
 
 
 def cv_linear(x, weight, bias=None):
     """y = x W + b for complex x [..., in], W [in, out], b [out]."""
-    y = cmatmul(x, weight)
+    y = x @ weight
     return y if bias is None else y + bias
 
 
 def cv_conv1d(x, kernel, padding=0):
-    """Complex 1-D convolution, x [B, Cin, M], kernel [Cout, Cin, k].
-
-    Uses the same three-product decomposition as :func:`cmatmul`; the
-    identity holds for any bilinear product.
-    """
-    return _gauss(lambda a, b: conv1d(a, b, padding=padding), x, kernel)
+    """Complex 1-D convolution, x [B, Cin, M], kernel [Cout, Cin, k]."""
+    return CTensor(conv1d(x.z, kernel.z, padding=padding))
 
 
 def cv_softmax(x, modulus_bias=None):
@@ -111,15 +119,36 @@ def cv_softmax(x, modulus_bias=None):
     (output is the real weight).  ``modulus_bias`` is an additive constant
     array applied to the moduli before the softmax (used for attention
     masking: large negative bias drives the weight to zero).
+
+    One node.  With moduli ``m``, phases ``u = z / m``, weights ``w``,
+    ``gw = Re(g conj(u))`` and ``gm = w (gw - sum(gw w))``, the backward
+    is ``gm u + w (g - gw u) / m``; below ``SOFTMAX_EPS`` the phase is
+    constant and only the modulus term ``gm z / max(m, ROOT_EPS)`` is left.
     """
-    m = x.modulus()
-    logits = m if modulus_bias is None else m + np.asarray(modulus_bias, dtype=np.float64)
-    w = softmax(logits)
-    small = m.data < SOFTMAX_EPS
-    scale = w / m.clamp_min(SOFTMAX_EPS)
-    out_re = where(small, w, scale * x.re)
-    out_im = where(small, Tensor(np.zeros_like(m.data)), scale * x.im)
-    return CTensor(out_re, out_im)
+    z = x.z
+    zd = z.data
+    m = np.abs(zd)
+    w = softmax_array(m if modulus_bias is None else m + modulus_bias)
+    out = (w / np.maximum(m, SOFTMAX_EPS)) * zd
+    any_small = m.min() < SOFTMAX_EPS
+    if any_small:
+        small = m < SOFTMAX_EPS
+        out[small] = w[small]
+
+    def back(g):
+        inv_m = 1.0 / np.maximum(m, SOFTMAX_EPS)
+        u = zd * inv_m
+        if any_small:
+            u[small] = 1.0
+        gw = g.real * u.real + g.imag * u.imag
+        gm = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        wm = w * inv_m
+        gz = (gm - wm * gw) * u + wm * g
+        if any_small:
+            gz[small] = gm[small] * zd[small] / np.maximum(m[small], ROOT_EPS)
+        z._accumulate(gz)
+
+    return CTensor(Tensor(out, _parents=(z,), _backward=back))
 
 
 def layer_norm(x, gamma, beta):
@@ -146,52 +175,91 @@ def layer_norm(x, gamma, beta):
     return Tensor(xhat * gamma.data + beta.data, _parents=(x, gamma, beta), _backward=back)
 
 
+
 def cv_layer_norm(x, affine=None):
     """Whitening layer norm for complex tensors over the last (channel) axis.
 
-    Subtracts the complex mean, then whitens the 2x2 covariance of
-    (Re, Im) aggregated over channels with a closed-form inverse matrix
-    square root (ridge ``NORM_EPS`` on the diagonal), then applies the
-    optional affine: the per-channel tensors ``(g_rr, g_ri, g_ir, g_ii,
-    b_re, b_im)`` of a 2x2 real matrix and a complex shift.
+    Subtracts the complex mean, ``c = z - mean(z)``, then whitens the 2x2
+    covariance ``V`` of (Re c, Im c) aggregated over channels (ridge
+    ``NORM_EPS`` on the diagonal) with its closed-form inverse matrix
+    square root.  A real-linear map of the plane is ``a c + b conj(c)``
+    with complex ``a`` and ``b``; for ``V^(-1/2)`` they are
+    ``a = ((vrr + vii) / 2 + s) / (s t)`` and
+    ``b = ((vii - vrr) / 2 - i vri) / (s t)`` per row, with
+    ``s = sqrt(det V)`` and ``t = sqrt(vrr + vii + 2 s)``.  The optional
+    affine is the per-channel tensors ``(g_rr, g_ri, g_ir, g_ii, b_re,
+    b_im)`` of a 2x2 real matrix and a complex shift (see :func:`_plane_affine`).
     """
     if x.shape[-1] < 2:
         raise ValueError("complex layer norm needs at least 2 channels")
-    cr = x.re - x.re.mean(axis=-1, keepdims=True)
-    ci = x.im - x.im.mean(axis=-1, keepdims=True)
+    z = x.z
+    c = z - z.mean(axis=-1, keepdims=True)
+    cr, ci = c.real(), c.imag()
     vrr = (cr * cr).mean(axis=-1, keepdims=True) + NORM_EPS
     vii = (ci * ci).mean(axis=-1, keepdims=True) + NORM_EPS
     vri = (cr * ci).mean(axis=-1, keepdims=True)
-    # closed-form inverse sqrt of [[vrr, vri], [vri, vii]]
     s = (vrr * vii - vri * vri).sqrt()
     t = (vrr + vii + 2.0 * s).sqrt()
     inv = 1.0 / (s * t)
-    wr = ((vii + s) * cr - vri * ci) * inv
-    wi = (-vri * cr + (vrr + s) * ci) * inv
-    if affine is None:
-        return CTensor(wr, wi)
-    g_rr, g_ri, g_ir, g_ii, b_re, b_im = affine
-    return CTensor(g_rr * wr + g_ri * wi + b_re, g_ir * wr + g_ii * wi + b_im)
+    alpha = ((vrr + vii) * 0.5 + s) * inv
+    beta = join((vii - vrr) * 0.5 * inv, -(vri * inv))
+    w = alpha * c + beta * c.conj()
+    return CTensor(w if affine is None else _plane_affine(w, *affine))
 
 
-def prelu(x, slope):
-    """PReLU with a learnable negative slope, as one node.
+def _plane_affine(w, g_rr, g_ri, g_ir, g_ii, b_re, b_im):
+    """Per channel, the real 2x2 matrix ``[[g_rr, g_ri], [g_ir, g_ii]]`` applied
+    to (Re w, Im w) plus the shift ``b_re + i b_im``, as one node.
 
-    Backward: ``g * (1 if x > 0 else slope)`` for ``x`` and
-    ``sum(g * min(x, 0))`` for ``slope``.
+    Forward: ``A w + B conj(w) + b`` with ``A = (g_rr + g_ii + i (g_ir -
+    g_ri)) / 2`` and ``B = (g_rr - g_ii + i (g_ir + g_ri)) / 2``.
+    Backward: ``conj(A) g + B conj(g)`` for ``w``; the sums over rows of
+    ``Re g Re w``, ``Re g Im w``, ``Im g Re w`` and ``Im g Im w`` for the
+    four matrix entries, and of ``Re g`` and ``Im g`` for the shift.
     """
-    neg = np.minimum(x.data, 0.0)
+    wd = w.data
+    a = 0.5 * (g_rr.data + g_ii.data + 1j * (g_ir.data - g_ri.data))
+    b = 0.5 * (g_rr.data - g_ii.data + 1j * (g_ir.data + g_ri.data))
+    out = a * wd + b * wd.conj() + (b_re.data + 1j * b_im.data)
 
     def back(g):
-        x._accumulate(g * np.where(x.data > 0.0, 1.0, slope.data))
-        slope._accumulate(g * neg)
+        w._accumulate(a.conj() * g + b * g.conj())
+        c = wd.shape[-1]
+        gr, gi = g.real.reshape(-1, c), g.imag.reshape(-1, c)
+        wr, wi = wd.real.reshape(-1, c), wd.imag.reshape(-1, c)
+        for param, left, right in ((g_rr, gr, wr), (g_ri, gr, wi), (g_ir, gi, wr), (g_ii, gi, wi)):
+            param._accumulate(np.einsum("rc,rc->c", left, right))
+        b_re._accumulate(gr)
+        b_im._accumulate(gi)
 
-    return Tensor(np.maximum(x.data, 0.0) + slope.data * neg, _parents=(x, slope), _backward=back)
+    return Tensor(out, _parents=(w, g_rr, g_ri, g_ir, g_ii, b_re, b_im), _backward=back)
 
 
 def cprelu(x, slope_re, slope_im):
-    """PReLU applied independently to real and imaginary parts."""
-    return CTensor(prelu(x.re, slope_re), prelu(x.im, slope_im))
+    """PReLU applied independently to the real and imaginary parts, as one node.
+
+    Each part ``p`` maps to ``max(p, 0) + slope * min(p, 0)``, computed as
+    ``p + (slope - 1) min(p, 0)`` on the interleaved (Re, Im) values.
+    Backward: each part of ``g`` times ``1`` where that part of ``z`` is
+    positive and its slope elsewhere, for ``z``; ``sum(Re(g) * min(Re z,
+    0))`` and ``sum(Im(g) * min(Im z, 0))`` for the two slopes.
+    """
+    z = x.z
+    zd = np.ascontiguousarray(z.data)
+    out = np.minimum(zd.reshape(-1).view(np.float64), 0.0).view(np.complex128).reshape(zd.shape)
+    out.real *= slope_re.data - 1.0
+    out.imag *= slope_im.data - 1.0
+    out += zd
+
+    def back(g):
+        gz = np.empty_like(zd)
+        gz.real = g.real * np.where(zd.real > 0.0, 1.0, slope_re.data)
+        gz.imag = g.imag * np.where(zd.imag > 0.0, 1.0, slope_im.data)
+        z._accumulate(gz)
+        slope_re._accumulate(g.real * np.minimum(zd.real, 0.0))
+        slope_im._accumulate(g.imag * np.minimum(zd.imag, 0.0))
+
+    return CTensor(Tensor(out, _parents=(z, slope_re, slope_im), _backward=back))
 
 
 def gelu(x):
@@ -306,22 +374,29 @@ def wmsa(x, params, window, shift=0, return_weights=False):
     win = window_partition(x, window)  # [..., nw, W, C]
     nw = win.shape[-3]
     lead = win.shape[:-3]
-    # insert a head axis so [h, C, d] projections broadcast over windows
-    wide = win.reshape(*lead, 1, nw, window, c)
 
-    q = wide @ params.wq.reshape(h, 1, c, d) + params.bq.reshape(h, 1, 1, d)
-    k = wide @ params.wk.reshape(h, 1, c, d)
-    if params.bk is not None:
-        k = k + params.bk.reshape(h, 1, 1, d)
-    v = wide @ params.wv.reshape(h, 1, c, d) + params.bv.reshape(h, 1, 1, d)
+    def heads(weight, bias):
+        """One GEMM for all heads: [..., nw, W, C] @ [C, h*d], then [..., h, nw, W, d]."""
+        y = win @ weight.transpose((1, 0, 2)).reshape(c, h * d)
+        if bias is not None:
+            y = y + bias.reshape(h * d)
+        n = len(lead)
+        return y.reshape(*lead, nw, window, h, d).transpose(
+            tuple(range(n)) + (n + 2, n, n + 1, n + 3)
+        )
+
+    q = heads(params.wq, params.bq) * (1.0 / np.sqrt(d))
+    k = heads(params.wk, params.bk)
+    v = heads(params.wv, params.bv)
     # plain (not conjugate) transpose of K on the complex path
-    logits = (q @ k.swap_last2()) * (1.0 / np.sqrt(d))
+    logits = q @ k.swap_last2()
     logits = logits + params.rpe.gather_last(_rpe_index(window)).reshape(h, 1, window, window)
-    mask = shift_attention_mask(m, window, shift)[None]
+    # the unshifted partition has no masked pair, so it adds no mask
+    mask = shift_attention_mask(m, window, shift)[None] if shift else None
     if isinstance(logits, CTensor):
         attn = cv_softmax(logits, modulus_bias=mask)
     else:
-        attn = softmax(logits + mask, axis=-1)
+        attn = softmax(logits if mask is None else logits + mask, axis=-1)
     ctx = attn @ v  # [..., h, nw, W, d]
     perm = tuple(range(ctx.ndim - 4)) + (ctx.ndim - 3, ctx.ndim - 2, ctx.ndim - 4, ctx.ndim - 1)
     ctx = ctx.transpose(perm).reshape(*lead, nw, window, h * d)

@@ -30,6 +30,8 @@ class FrequencyScene:
     def __post_init__(self):
         self.freqs = np.atleast_1d(np.asarray(self.freqs, dtype=np.float64))
         self.amps = np.atleast_1d(np.asarray(self.amps, dtype=np.complex128))
+        if self.freqs.ndim != 1:
+            raise ValueError(f"freqs and amps must be flat, got shape {self.freqs.shape}")
         if self.freqs.shape != self.amps.shape:
             raise ValueError("freqs and amps must have matching lengths")
         if not np.all(np.isfinite(self.freqs)):
@@ -177,6 +179,7 @@ def minmax_normalize(x):
 
 MAGIC = b"SSRF"
 FILE_VERSION = 3  # the checkpoint layout that this replaced was version 2
+CONTAINER_KEYS = ("dtype", "shape", "version")  # header keys that the container itself writes
 
 
 def is_shape(value):
@@ -226,11 +229,16 @@ def write_file(path, header, array):
     """Write the JSON object ``header`` and ``array`` to ``path``.
 
     The stored header is ``json_safe(header)`` plus the container's keys
-    ``version``, ``dtype`` and ``shape``; the payload is ``array`` as
-    complex128 or float64.  The bytes go to a temporary file in the
-    target's directory that then replaces ``path``, so a write that fails
-    part-way leaves an existing file as it was.
+    ``version``, ``dtype`` and ``shape``; a header that holds one of those
+    keys itself raises ``ValueError``, as :func:`read_file` could not give
+    it back.  The payload is ``array`` as complex128 or float64.  The bytes
+    go to a temporary file in the target's directory that then replaces
+    ``path``, so a write that fails part-way leaves an existing file as it
+    was.
     """
+    clash = [key for key in CONTAINER_KEYS if key in header]
+    if clash:
+        raise ValueError(f"{path}: the header holds the container's own keys {', '.join(clash)}")
     array = np.asarray(array, np.complex128 if np.iscomplexobj(array) else np.float64)
     header = {**json_safe(header), "version": FILE_VERSION,
               "dtype": array.dtype.name, "shape": list(array.shape)}
@@ -276,11 +284,34 @@ def scene_to_dict(scene):
     }
 
 
+def _number_list(d, key):
+    """``d[key]`` as a float64 array if it is a flat list of numbers (JSON
+    true and false are not) that float64 can hold, else ``ValueError``."""
+    value = d[key]
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"scene {key} must be a flat list of numbers, got {value!r}")
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond float64's range
+        raise ValueError(f"scene {key} holds a number float64 cannot hold") from exc
+
+
 def scene_from_dict(d):
-    return FrequencyScene(
-        np.asarray(d["freqs"]),
-        np.asarray(d["amps_re"]) + 1j * np.asarray(d["amps_im"]),
-    )
+    """The scene of a ``scene_to_dict`` mapping: ``freqs``, ``amps_re`` and
+    ``amps_im`` must be flat lists of numbers of one length, and each
+    amplitude's squared modulus must be finite."""
+    freqs, amps_re, amps_im = (_number_list(d, key) for key in ("freqs", "amps_re", "amps_im"))
+    if not len(freqs) == len(amps_re) == len(amps_im):
+        raise ValueError(
+            f"scene freqs, amps_re and amps_im have lengths {len(freqs)}, {len(amps_re)}, {len(amps_im)}"
+        )
+    # targets and PSNR square the modulus, so |amp|^2 must not overflow
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(amps_re**2 + amps_im**2)):
+            raise ValueError("scene amplitude moduli must be finite, |amp|^2 included")
+    return FrequencyScene(freqs, amps_re + 1j * amps_im)
 
 
 def json_safe(value):

@@ -595,3 +595,28 @@ def test_compare_resolution_defaults_to_20_db_and_200_trials(tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["config"]["snr_db"] == 20.0 and report["config"]["trials"] == 200
     assert set(report["trial_counts"]) == {200}
+
+
+MALFORMED_SCENES = {
+    # amps_re [1, 1] with amps_im [0] used to broadcast into a two-tone scene
+    "unequal-lengths": {"freqs": [0.1, 0.2], "amps_re": [1.0, 1.0], "amps_im": [0.0]},
+    "nested-lists": {"freqs": [[0.1]], "amps_re": [[1.0]], "amps_im": [[0.0]]},
+    "bool-freq": {"freqs": [True], "amps_re": [1.0], "amps_im": [0.0]},
+    # |amp| = 1.4e308 is finite, but its square, which targets and PSNR take, is not
+    "overflowing-amp": {"freqs": [0.1], "amps_re": [1e308], "amps_im": [1e308]},
+    # a JSON integer beyond float64's range used to end in an OverflowError traceback
+    "huge-integer": {"freqs": [0.1], "amps_re": [10**400], "amps_im": [0]},
+}
+
+
+@pytest.mark.parametrize("method", ["periodogram", "music"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENES))
+def test_eval_malformed_scene_exits_1_with_one_line(tmp_path, capsys, case, method):
+    data = tmp_path / "d.bin"
+    write_file(data, {"n_sr": 64, "scenes": [MALFORMED_SCENES[case]]}, np.ones((1, 16), complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print before the error line
+        assert run(["eval", "--data", data, "--method", method]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data) in err and "scene" in err

@@ -1,12 +1,12 @@
-"""The one-node softmax, layer norm, GELU and PReLU against the composite
-expressions they replace, written out here from elementwise tape ops."""
+"""The one-node softmax, layer norm, GELU and complex PReLU against the
+composite expressions they replace, written out here from elementwise tape ops."""
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from spectralsr.autodiff import Tensor, softmax
-from spectralsr.cvops import gelu, grad_check, layer_norm, prelu
+from spectralsr.autodiff import Tensor, join, softmax
+from spectralsr.cvops import CTensor, cprelu, gelu, grad_check, layer_norm
 
 
 def erf_node(x):
@@ -35,17 +35,28 @@ def prelu_composite(x, slope):
     return x.relu() + slope * (x - x.relu())
 
 
+def cprelu_node(z, slope_re, slope_im):
+    return cprelu(CTensor(z), slope_re, slope_im).z
+
+
+def cprelu_composite(z, slope_re, slope_im):
+    return join(prelu_composite(z.real(), slope_re), prelu_composite(z.imag(), slope_im))
+
+
 def forward_and_grads(op, arrays, proj):
-    """Output and the gradient of ``sum(op(*leaves) * proj)`` per leaf."""
+    """Output and the gradient of ``sum(Re(op(*leaves) * proj))`` per leaf."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = op(*leaves)
-    (out * proj).sum().backward()
+    (out * proj).real().sum().backward()
     return out.data, [leaf.grad for leaf in leaves]
 
 
 def assert_same_node(fused, composite, arrays, seed=0):
     rng = np.random.default_rng(seed)
-    proj = rng.normal(size=np.broadcast_shapes(*(a.shape for a in arrays)))
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    proj = rng.normal(size=shape)
+    if any(np.iscomplexobj(a) for a in arrays):
+        proj = proj + 1j * rng.normal(size=shape)
     got, got_grads = forward_and_grads(fused, arrays, proj)
     ref, ref_grads = forward_and_grads(composite, arrays, proj)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -57,7 +68,9 @@ def assert_same_node(fused, composite, arrays, seed=0):
 def test_fused_nodes_record_one_tape_entry():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     gamma, beta, slope = (Tensor(np.ones(3), requires_grad=True) for _ in range(3))
-    for out in (softmax(x), layer_norm(x, gamma, beta), gelu(x), prelu(x, slope)):
+    z = Tensor(np.ones((2, 3)) + 1j, requires_grad=True)
+    cp = cprelu_node(z, slope, slope)
+    for out in (softmax(x), layer_norm(x, gamma, beta), gelu(x), cp):
         assert all(parent._parents == () for parent in out._parents)
 
 
@@ -95,8 +108,10 @@ def test_gelu_forward_is_the_composite_bit_for_bit():
 
 @pytest.mark.parametrize("slope", [0.25, -0.5, 0.0])
 def test_prelu_matches_composite_on_negative_zero_and_positive_inputs(slope):
+    # the complex PReLU, each part of z against the real composite
     x = np.array([[-3.0, -1e-3, 0.0, 1e-3, 2.5], [0.0, -7.0, 4.0, -0.0, 1.0]])
-    assert_same_node(prelu, prelu_composite, [x, np.array(slope)])
+    z = x + 1j * x[::-1, ::-1]
+    assert_same_node(cprelu_node, cprelu_composite, [z, np.array(slope), np.array(0.5 - slope)])
 
 
 def test_fused_nodes_pass_grad_check_on_micro_shapes():
@@ -113,8 +128,9 @@ def test_fused_nodes_pass_grad_check_on_micro_shapes():
     cases.append(([x, gamma, beta], lambda x=x, g=gamma, b=beta: layer_norm(x, g, b)))
     x = leaf(3, 4, scale=2.0)
     cases.append(([x], lambda x=x: gelu(x)))
-    x, slope = leaf(3, 4), Tensor(0.25, requires_grad=True)
-    cases.append(([x, slope], lambda x=x, s=slope: prelu(x, s)))
+    x, sr, si = leaf(3, 4), Tensor(0.25, requires_grad=True), Tensor(-0.5, requires_grad=True)
+    z = CTensor(x, leaf(3, 4))
+    cases.append(([z, sr, si], lambda z=z, sr=sr, si=si: cprelu(z, sr, si).modulus()))
     for leaves, op in cases:
         proj = rng.normal(size=op().shape)
         assert grad_check(lambda op=op, proj=proj: (op() * proj).sum(), leaves) < 1e-4

@@ -5,13 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralsr import signals
 from spectralsr.signals import (
     MAGIC,
     Dataset,
+    CONTAINER_KEYS,
     FrequencyScene,
     SceneConfig,
+    json_safe,
     minmax_normalize,
     read_dataset,
     read_file,
@@ -250,7 +254,8 @@ def test_scene_json_round_trip(tmp_path):
 def test_scene_json_rejects_malformed_header(tmp_path, text):
     path = tmp_path / "d.bin"
     header = json.loads(text)
-    if isinstance(header, dict):  # write_file sets the version, dtype and shape
+    if isinstance(header, dict):  # write_file sets the version, and refuses one in the header
+        header.pop("version")
         write_file(path, header, np.ones((1, 4), complex))
     else:
         path.write_bytes(MAGIC + len(text).to_bytes(4, "little") + text.encode())
@@ -301,6 +306,51 @@ def test_write_file_refuses_a_nan_header_and_writes_nothing(tmp_path):
     with pytest.raises(ValueError):
         write_file(tmp_path / "n.bin", {"snr_db": float("nan")}, np.ones(2))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", CONTAINER_KEYS)
+def test_write_file_refuses_a_container_key_in_the_header(tmp_path, key):
+    # such a key used to be overwritten on write and dropped on read
+    with pytest.raises(ValueError, match=key):
+        write_file(tmp_path / "k.bin", {key: 7, "k": 1}, np.zeros(3))
+    assert not list(tmp_path.iterdir())
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**63, 2**63)
+                | st.floats(allow_nan=True) | st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(CONTAINER_KEYS), inner, max_size=3),
+    max_leaves=12,
+)
+HEADERS = st.dictionaries(st.text(max_size=6) | st.sampled_from(CONTAINER_KEYS), JSON_VALUES, max_size=4)
+PAYLOAD_DTYPES = ("float64", "complex128", "float32", "complex64", "int32", "bool")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(header=HEADERS, dtype=st.sampled_from(PAYLOAD_DTYPES),
+       shape=st.lists(st.integers(0, 3), max_size=3), data=st.data())
+def test_every_file_reads_back_exactly_or_is_refused(tmp_path_factory, header, dtype, shape, data):
+    # floats in the header may be +-inf (written as "inf" strings) or NaN (refused)
+    size = int(np.prod(shape))
+    elements = {"int32": st.integers(-2**31, 2**31 - 1), "bool": st.booleans()}.get(
+        dtype, st.floats(allow_nan=True, width=32))
+    values = data.draw(st.lists(elements, min_size=2 * size, max_size=2 * size))
+    array = np.empty(shape, dtype)
+    if dtype.startswith("complex"):
+        array.real, array.imag = np.reshape(values[:size], shape), np.reshape(values[size:], shape)
+    else:
+        array[...] = np.reshape(values[:size], shape)
+    path = tmp_path_factory.mktemp("file") / "f.bin"
+    try:
+        write_file(path, header, array)
+    except ValueError:
+        assert not path.exists()
+        return
+    back_header, back = read_file(path)
+    assert back_header == json_safe(header)
+    assert back.shape == array.shape and np.array_equal(back, array, equal_nan=True)
 
 
 def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, monkeypatch):
