@@ -9,9 +9,10 @@ hands ``g * conj(b)`` to ``a`` and ``y = x @ w`` hands ``g @ wᴴ`` to
 gradient keeps its real part (``Tensor._accumulate``), which is the
 gradient with respect to a real coordinate.  :func:`join` builds a
 complex tensor from a real and an imaginary part, and ``real()`` /
-``imag()`` split one; complex parameters stay pairs of real leaves (see
-:mod:`spectralsr.cvops`).  ``sqrt``, ``relu``, :func:`softmax` and
-:func:`conv_transpose1d` take real tensors only.
+``imag()`` split one.  A complex parameter is a ``Tensor`` subclass that
+stores two real leaves (:class:`spectralsr.cvops.CTensor`); every other
+value on the tape is a plain ``Tensor``.  ``sqrt``, ``relu``,
+:func:`softmax` and :func:`conv_transpose1d` take real tensors only.
 
 Each op builds its output with ``Tensor(data, _parents=..., _backward=...)``;
 the constructor records that tape entry only while grad mode is on, so
@@ -43,10 +44,11 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import math
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "join", "softmax", "modulus", "conv1d", "conv_transpose1d"]
+__all__ = ["Tensor", "no_grad", "join", "softmax", "conv1d", "conv_transpose1d"]
 
 ROOT_EPS = 1e-12  # sqrt and modulus floor their value at this in their derivatives
 
@@ -151,11 +153,11 @@ class Tensor:
 
     @property
     def size(self):
-        return self.data.size
+        return math.prod(self.shape)
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return len(self.shape)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -187,6 +189,9 @@ class Tensor:
 
     def item(self):
         return float(self.data)
+
+    def numpy(self):
+        return self.data
 
     def backward(self):
         """Reverse pass from a scalar output."""
@@ -314,6 +319,15 @@ class Tensor:
 
         return Tensor(self.data.imag, _parents=(self,), _backward=back)
 
+    def modulus(self):
+        """``|x|``; the backward ``g x / max(|x|, ROOT_EPS)`` stays bounded at 0."""
+        m = np.abs(self.data)
+
+        def back(g):
+            self._accumulate(g * self.data / np.maximum(m, ROOT_EPS))
+
+        return Tensor(m, _parents=(self,), _backward=back)
+
     # -- reductions ----------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -434,17 +448,6 @@ def softmax(x, axis=-1):
         x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     return Tensor(y, _parents=(x,), _backward=back)
-
-
-def modulus(z):
-    """``|z|`` of a complex tensor; the backward ``g z / max(|z|, ROOT_EPS)``
-    stays bounded at 0."""
-    m = np.abs(z.data)
-
-    def back(g):
-        z._accumulate(g * z.data / np.maximum(m, ROOT_EPS))
-
-    return Tensor(m, _parents=(z,), _backward=back)
 
 
 def conv1d(x, w, stride=1, padding=0):

@@ -1,12 +1,13 @@
 """Complex-valued differentiable operators on the autodiff engine.
 
-A complex tensor is a :class:`CTensor`: one complex128
+A complex value on the tape is a plain complex128
 :class:`~spectralsr.autodiff.Tensor`, whose gradient is
 ``dL/dRe + i dL/dIm``, so a complex product is one complex ``@`` or
-``conv1d`` call.  A complex parameter is still a pair of real leaves
-(``<name>.re`` / ``<name>.im``), joined into one complex value where it is
-used, so optimizers, checkpoints and :func:`grad_check` see only real
-tensors and perturb the real and imaginary parts independently.
+``conv1d`` call and the real and complex models share one graph.  A
+complex parameter is a :class:`CTensor`: a ``Tensor`` that stores a pair
+of real leaves (``<name>.re`` / ``<name>.im``), so optimizers,
+checkpoints and :func:`grad_check` see only real tensors and perturb the
+real and imaginary parts independently.
 """
 
 from __future__ import annotations
@@ -15,90 +16,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ROOT_EPS, Tensor, conv1d, join, modulus, no_grad, softmax, softmax_array
+from .autodiff import ROOT_EPS, Tensor, _unbroadcast, conv1d, join, no_grad, softmax, softmax_array
 
 SOFTMAX_EPS = 1e-12  # below this modulus the phase is defined as 1
 NORM_EPS = 1e-5  # variance ridge of the real and complex layer norms
 MASK_NEG = -1e9  # additive attention logit of a masked pair
 
 
-class CTensor:
-    """A complex tensor: one complex128 ``Tensor``, or a pair of real leaves.
+class CTensor(Tensor):
+    """A complex parameter stored as two real leaves, ``re`` and ``im``.
 
-    ``CTensor(z)`` wraps the complex tensor ``z``.  ``CTensor(re, im)``
-    holds two real tensors, such as a complex parameter's leaves; reading
-    ``z`` then joins them with a new :func:`~spectralsr.autodiff.join`
-    node each time, so a leaf changed in place is seen by the next use.
-    ``re`` and ``im`` are the leaves of a pair, and split nodes otherwise.
+    Its ``data`` is ``re + i im``, read at each use, so a part changed in
+    place (by an optimizer step or :func:`grad_check`) is seen by the next
+    op.  It records nothing on the tape: a gradient handed to it is summed
+    down to its shape, and its real part goes to ``re`` and its imaginary
+    part to ``im``.
     """
 
-    __slots__ = ("_z", "_parts")
+    __slots__ = ("re", "im")
 
-    def __init__(self, re, im=None):
-        self._z, self._parts = (re, None) if im is None else (None, (re, im))
-
-    @property
-    def z(self):
-        return self._z if self._parts is None else join(*self._parts)
-
-    @property
-    def re(self):
-        return self._z.real() if self._parts is None else self._parts[0]
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+        self.grad = None
+        self.requires_grad = re.requires_grad or im.requires_grad
+        self._parents = ()
+        self._backward = None
 
     @property
-    def im(self):
-        return self._z.imag() if self._parts is None else self._parts[1]
+    def data(self):
+        data = np.empty(self.re.shape, dtype=np.complex128)
+        data.real = self.re.data
+        data.imag = self.im.data
+        return data
 
     @property
     def shape(self):
-        return (self._z if self._parts is None else self._parts[0]).shape
+        return self.re.shape
 
-    @property
-    def ndim(self):
-        return len(self.shape)
-
-    def numpy(self):
-        return self.z.data
+    def _accumulate(self, grad):
+        if self.requires_grad:
+            grad = _unbroadcast(grad, self.shape)
+            self.re._accumulate(grad.real)
+            self.im._accumulate(grad.imag)
 
     @staticmethod
     def from_numpy(z, requires_grad=False):
-        """A constant complex tensor, or with ``requires_grad`` a pair of real leaves."""
+        """A constant complex ``Tensor``, or with ``requires_grad`` a pair of real leaves."""
         z = np.asarray(z, dtype=np.complex128)
         if requires_grad:
             return CTensor(Tensor(z.real.copy(), True), Tensor(z.imag.copy(), True))
-        return CTensor(Tensor(z))
-
-    def __add__(self, other):
-        return CTensor(self.z + _value(other))
-
-    def __mul__(self, other):
-        return CTensor(self.z * _value(other))
-
-    def __matmul__(self, other):
-        return CTensor(self.z @ _value(other))
-
-    def reshape(self, *shape):
-        return CTensor(self.z.reshape(*shape))
-
-    def transpose(self, axes):
-        return CTensor(self.z.transpose(axes))
-
-    def swap_last2(self):
-        return CTensor(self.z.swap_last2())
-
-    def roll(self, shift, axis):
-        return CTensor(self.z.roll(shift, axis))
-
-    def gather_last(self, idx):
-        return CTensor(self.z.gather_last(idx))
-
-    def modulus(self):
-        return modulus(self.z)
-
-
-def _value(x):
-    """The ``Tensor`` (or constant) behind ``x``."""
-    return x.z if isinstance(x, CTensor) else x
+        return Tensor(z)
 
 
 def cv_linear(x, weight, bias=None):
@@ -107,9 +74,7 @@ def cv_linear(x, weight, bias=None):
     return y if bias is None else y + bias
 
 
-def cv_conv1d(x, kernel, padding=0):
-    """Complex 1-D convolution, x [B, Cin, M], kernel [Cout, Cin, k]."""
-    return CTensor(conv1d(x.z, kernel.z, padding=padding))
+cv_conv1d = conv1d  # complex 1-D convolution: conv1d on complex tensors
 
 
 def cv_softmax(x, modulus_bias=None):
@@ -120,13 +85,12 @@ def cv_softmax(x, modulus_bias=None):
     array applied to the moduli before the softmax (used for attention
     masking: large negative bias drives the weight to zero).
 
-    One node.  With moduli ``m``, phases ``u = z / m``, weights ``w``,
+    One node on a complex ``x``.  With moduli ``m``, phases ``u = x / m``, weights ``w``,
     ``gw = Re(g conj(u))`` and ``gm = w (gw - sum(gw w))``, the backward
     is ``gm u + w (g - gw u) / m``; below ``SOFTMAX_EPS`` the phase is
-    constant and only the modulus term ``gm z / max(m, ROOT_EPS)`` is left.
+    constant and only the modulus term ``gm x / max(m, ROOT_EPS)`` is left.
     """
-    z = x.z
-    zd = z.data
+    zd = x.data
     m = np.abs(zd)
     w = softmax_array(m if modulus_bias is None else m + modulus_bias)
     out = (w / np.maximum(m, SOFTMAX_EPS)) * zd
@@ -146,9 +110,9 @@ def cv_softmax(x, modulus_bias=None):
         gz = (gm - wm * gw) * u + wm * g
         if any_small:
             gz[small] = gm[small] * zd[small] / np.maximum(m[small], ROOT_EPS)
-        z._accumulate(gz)
+        x._accumulate(gz)
 
-    return CTensor(Tensor(out, _parents=(z,), _backward=back))
+    return Tensor(out, _parents=(x,), _backward=back)
 
 
 def layer_norm(x, gamma, beta):
@@ -192,8 +156,7 @@ def cv_layer_norm(x, affine=None):
     """
     if x.shape[-1] < 2:
         raise ValueError("complex layer norm needs at least 2 channels")
-    z = x.z
-    c = z - z.mean(axis=-1, keepdims=True)
+    c = x - x.mean(axis=-1, keepdims=True)
     cr, ci = c.real(), c.imag()
     vrr = (cr * cr).mean(axis=-1, keepdims=True) + NORM_EPS
     vii = (ci * ci).mean(axis=-1, keepdims=True) + NORM_EPS
@@ -204,7 +167,7 @@ def cv_layer_norm(x, affine=None):
     alpha = ((vrr + vii) * 0.5 + s) * inv
     beta = join((vii - vrr) * 0.5 * inv, -(vri * inv))
     w = alpha * c + beta * c.conj()
-    return CTensor(w if affine is None else _plane_affine(w, *affine))
+    return w if affine is None else _plane_affine(w, *affine)
 
 
 def _plane_affine(w, g_rr, g_ri, g_ir, g_ii, b_re, b_im):
@@ -244,8 +207,7 @@ def cprelu(x, slope_re, slope_im):
     positive and its slope elsewhere, for ``z``; ``sum(Re(g) * min(Re z,
     0))`` and ``sum(Im(g) * min(Im z, 0))`` for the two slopes.
     """
-    z = x.z
-    zd = np.ascontiguousarray(z.data)
+    zd = np.ascontiguousarray(x.data)
     out = np.minimum(zd.reshape(-1).view(np.float64), 0.0).view(np.complex128).reshape(zd.shape)
     out.real *= slope_re.data - 1.0
     out.imag *= slope_im.data - 1.0
@@ -255,11 +217,11 @@ def cprelu(x, slope_re, slope_im):
         gz = np.empty_like(zd)
         gz.real = g.real * np.where(zd.real > 0.0, 1.0, slope_re.data)
         gz.imag = g.imag * np.where(zd.imag > 0.0, 1.0, slope_im.data)
-        z._accumulate(gz)
+        x._accumulate(gz)
         slope_re._accumulate(g.real * np.minimum(zd.real, 0.0))
         slope_im._accumulate(g.imag * np.minimum(zd.imag, 0.0))
 
-    return CTensor(Tensor(out, _parents=(z, slope_re, slope_im), _backward=back))
+    return Tensor(out, _parents=(x, slope_re, slope_im), _backward=back)
 
 
 def gelu(x):
@@ -329,8 +291,8 @@ class AttentionParams:
 
     ``wq/wk/wv`` have shape [h, C, d]; ``rpe`` has shape [h, 2W-1] and is
     expanded to per-pair biases by relative offset; ``out_w`` maps the
-    h*d concatenation back to C channels.  All tensors are ``Tensor`` for
-    the real path or ``CTensor`` for the complex path.
+    h*d concatenation back to C channels.  All tensors are real for the
+    real path and complex (typically ``CTensor`` pairs) for the complex path.
 
     ``bk`` is ``None`` on the real path: a key bias adds ``q_i . bk`` to
     every logit of row ``i``, and softmax is unchanged by a constant added
@@ -360,9 +322,10 @@ def _rpe_index(window):
 def wmsa(x, params, window, shift=0, return_weights=False):
     """Windowed multi-head self-attention with optional shifted partition.
 
-    ``x`` is [..., M, C], real (``Tensor``) or complex (``CTensor``), and
-    ``params`` holds tensors of the same kind.  The two paths differ only
-    in the softmax: the complex one weights by modulus and keeps phases.
+    ``x`` is a real or complex [..., M, C] ``Tensor``, and ``params``
+    holds tensors of the same dtype.  The two paths differ only in the
+    softmax, picked by dtype: the complex one weights by modulus and
+    keeps phases.
     When ``shift`` > 0 the sequence is cyclically rotated by ``-shift``
     before partitioning and cross-segment pairs are masked out; the
     rotation is undone on the way out.
@@ -393,7 +356,7 @@ def wmsa(x, params, window, shift=0, return_weights=False):
     logits = logits + params.rpe.gather_last(_rpe_index(window)).reshape(h, 1, window, window)
     # the unshifted partition has no masked pair, so it adds no mask
     mask = shift_attention_mask(m, window, shift)[None] if shift else None
-    if isinstance(logits, CTensor):
+    if logits.data.dtype.kind == "c":
         attn = cv_softmax(logits, modulus_bias=mask)
     else:
         attn = softmax(logits if mask is None else logits + mask, axis=-1)
@@ -412,7 +375,7 @@ def mlp(x, w1, b1, w2, b2, activation=None):
     """Two linear layers with a nonlinearity in between.
 
     ``activation`` defaults to GELU, which is real-only; complex inputs
-    pass a CTensor -> CTensor callable (typically CPReLU).
+    pass a complex ``Tensor`` -> ``Tensor`` callable (typically CPReLU).
     """
     hidden = x @ w1 + b1
     hidden = gelu(hidden) if activation is None else activation(hidden)

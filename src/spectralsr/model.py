@@ -22,7 +22,6 @@ from .cvops import (
     AttentionParams,
     CTensor,
     cprelu,
-    cv_conv1d,
     cv_layer_norm,
     cv_linear,
     init_params,
@@ -260,7 +259,7 @@ def param_count(cfg):
 def mf_forward(x, store):
     """Complex front end: linear N -> M*mid, reshape, conv to C channels.
 
-    ``x`` is a [B, N] ``CTensor``.  Returns [B, M, C]; real (modulus) for
+    ``x`` is a complex [B, N] ``Tensor``.  Returns [B, M, C]; real (modulus) for
     the swinfreq variant.
     """
     cfg = store.config
@@ -278,7 +277,7 @@ def mf_forward(x, store):
 
 
 def _norm(x, store, prefix):
-    cx = isinstance(x, CTensor)
+    cx = store.config.is_complex
     affine = [store.get(f"{prefix}.{name}") for name in _NORM_INIT[cx]]
     if cx:
         return cv_layer_norm(x, affine)
@@ -314,8 +313,7 @@ def sstl_forward(g, store, prefix, shift):
 
 def _channel_conv(x, weight, bias):
     """Shape-preserving 3-tap convolution of [B, Cin, M] to [B, Cout, M] plus a bias."""
-    conv = cv_conv1d if isinstance(x, CTensor) else conv1d
-    return conv(x, weight, padding=1) + bias.reshape(1, -1, 1)
+    return conv1d(x, weight, padding=1) + bias.reshape(1, -1, 1)
 
 
 def sstb_forward(f, store, block_index):
@@ -351,9 +349,9 @@ def sr_forward(f0, store):
     return y.reshape(y.shape[0], cfg.n_sr)
 
 
-def model_forward_tensor(x_ct, store):
+def model_forward_tensor(x, store):
     """Differentiable forward on an already-normalized complex tensor."""
-    return sr_forward(mf_forward(x_ct, store), store)
+    return sr_forward(mf_forward(x, store), store)
 
 
 def model_forward(signal, store):
@@ -365,7 +363,7 @@ def model_forward(signal, store):
     arr = np.atleast_2d(np.asarray(signal, dtype=np.complex128))
     arr = np.stack([minmax_normalize(row) for row in arr])
     with no_grad():
-        out = model_forward_tensor(CTensor.from_numpy(arr), store)
+        out = model_forward_tensor(Tensor(arr), store)
     result = out.data
     return result[0] if np.asarray(signal).ndim == 1 else result
 

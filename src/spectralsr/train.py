@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cvops import CTensor
+from .autodiff import Tensor
 from .evaluate import psnr
 from .model import model_forward, model_forward_tensor, save_checkpoint
 from .signals import SceneConfig, minmax_normalize, render_target, sample_scene, synthesize
@@ -112,7 +112,7 @@ def _cosine_lr(cfg, step, total_steps):
 
 
 def _mse_loss(store, inputs, targets):
-    out = model_forward_tensor(CTensor.from_numpy(inputs), store)
+    out = model_forward_tensor(Tensor(inputs), store)
     diff = out - targets
     return (diff * diff).mean()
 

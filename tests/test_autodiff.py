@@ -6,7 +6,6 @@ from spectralsr.autodiff import (
     conv1d,
     conv_transpose1d,
     join,
-    modulus,
     no_grad,
     softmax,
 )
@@ -100,16 +99,16 @@ def test_modulus_matches_abs_and_grad():
     rng = np.random.default_rng(8)
     re = Tensor(rng.normal(size=(6,)), requires_grad=True)
     im = Tensor(rng.normal(size=(6,)), requires_grad=True)
-    m = modulus(join(re, im))
+    m = join(re, im).modulus()
     assert np.allclose(m.data, np.abs(re.data + 1j * im.data))
-    check(lambda: modulus(join(re, im)).sum(), re)
-    check(lambda: modulus(join(re, im)).sum(), im)
+    check(lambda: join(re, im).modulus().sum(), re)
+    check(lambda: join(re, im).modulus().sum(), im)
 
 
 def test_modulus_bounded_gradient_at_origin():
     re = Tensor(np.zeros(3), requires_grad=True)
     im = Tensor(np.zeros(3), requires_grad=True)
-    modulus(join(re, im)).sum().backward()
+    join(re, im).modulus().sum().backward()
     assert np.all(np.isfinite(re.grad))
     assert np.all(np.isfinite(im.grad))
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spectralsr.autodiff import Tensor, conv1d, join, modulus, softmax
+from spectralsr.autodiff import Tensor, conv1d, join, softmax
 from spectralsr.cvops import (
     MASK_NEG,
     NORM_EPS,
@@ -26,6 +26,8 @@ from spectralsr.cvops import (
     cv_softmax,
     grad_check,
 )
+from spectralsr.model import init_model, toy_config
+from spectralsr.train import _mse_loss
 
 
 # -- real-pair composites ------------------------------------------------
@@ -219,7 +221,7 @@ def test_modulus_including_zero_and_tiny_entries():
     z = carray(rng, 3, 5)
     z[0, 0] = 0.0
     z[1, 2] = 3e-13 - 2e-13j  # below ROOT_EPS
-    assert_matches_composite(modulus, lambda p: (pair_modulus(*p), None), [z])
+    assert_matches_composite(lambda t: t.modulus(), lambda p: (pair_modulus(*p), None), [z])
 
 
 def softmax_inputs():
@@ -238,13 +240,13 @@ def softmax_inputs():
 def test_one_node_cv_softmax(masked):
     z, bias = softmax_inputs()
     bias = bias if masked else None
-    assert_matches_composite(lambda t: cv_softmax(CTensor(t), bias).z,
+    assert_matches_composite(lambda t: cv_softmax(t, bias),
                              lambda p: pair_softmax(*p, bias), [z])
 
 
 def test_cv_softmax_is_one_node():
     z = Tensor(carray(np.random.default_rng(7), 2, 4), requires_grad=True)
-    assert cv_softmax(CTensor(z)).z._parents == (z,)
+    assert cv_softmax(z)._parents == (z,)
 
 
 def layer_norm_inputs():
@@ -258,7 +260,7 @@ def layer_norm_inputs():
 
 def test_cv_layer_norm_without_affine():
     z = layer_norm_inputs()
-    assert_matches_composite(lambda t: cv_layer_norm(CTensor(t)).z,
+    assert_matches_composite(lambda t: cv_layer_norm(t),
                              lambda p: pair_layer_norm(*p), [z])
 
 
@@ -268,10 +270,71 @@ def test_cv_layer_norm_with_a_perturbed_affine():
     affine = [1.0 + 0.3 * rng.normal(size=6), 0.3 * rng.normal(size=6), 0.3 * rng.normal(size=6),
               1.0 + 0.3 * rng.normal(size=6), rng.normal(size=6), rng.normal(size=6)]
     assert_matches_composite(
-        lambda t, *a: cv_layer_norm(CTensor(t), a).z,
+        lambda t, *a: cv_layer_norm(t, a),
         lambda p, *a: pair_layer_norm(*p, [leaf for leaf, _ in a]),
         [z, *affine],
     )
+
+
+# -- complex parameters --------------------------------------------------
+
+
+def pair(rng, *shape):
+    return CTensor(Tensor(rng.normal(size=shape), requires_grad=True),
+                   Tensor(rng.normal(size=shape), requires_grad=True))
+
+
+def test_a_complex_constant_is_a_plain_tensor():
+    z = CTensor.from_numpy(np.array([1 + 2j, -3j]))
+    assert type(z) is Tensor and z.data.dtype == np.complex128
+    assert isinstance(CTensor.from_numpy(np.ones(2), requires_grad=True), Tensor)
+
+
+def test_an_in_place_change_to_a_part_is_seen_by_the_next_op():
+    p = pair(np.random.default_rng(10), 3)
+    before = (Tensor(np.zeros(3)) + p).data
+    p.re.data[1] = 5.0
+    p.im.data[2] = -4.0
+    after = (Tensor(np.zeros(3)) + p).data
+    assert after[1] == 5.0 + 1j * before[1].imag and after[2] == before[2].real - 4.0j
+    assert after[0] == before[0]
+
+
+def test_a_broadcast_gradient_lands_on_the_parts_reduced_to_their_shape():
+    rng = np.random.default_rng(11)
+    bias = pair(rng, 3)
+    x = Tensor(carray(rng, 2, 4, 3))
+    proj = carray(rng, 2, 4, 3)
+    ((x + bias) * np.conj(proj)).real().sum().backward()
+    assert bias.grad is None
+    assert bias.re.grad.shape == bias.im.grad.shape == (3,)
+    assert np.allclose(bias.re.grad, proj.real.sum(axis=(0, 1)), rtol=1e-13, atol=0)
+    assert np.allclose(bias.im.grad, proj.imag.sum(axis=(0, 1)), rtol=1e-13, atol=0)
+
+
+def tape_nodes(root):
+    nodes, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in nodes:
+                nodes[id(parent)] = parent
+                stack.append(parent)
+    return list(nodes.values())
+
+
+def test_the_toy_cvswinfreq_tape_holds_only_tensors_and_joins_no_parameter_leaves():
+    rng = np.random.default_rng(12)
+    cfg = toy_config("cvswinfreq")
+    store = init_model(cfg, rng)
+    inputs = carray(rng, 2, cfg.n)
+    nodes = tape_nodes(_mse_loss(store, inputs, rng.normal(size=(2, cfg.n_sr))))
+    leaves = {id(t) for t in store.params.values()}
+    joins = [node for node in nodes if node._backward is not None
+             and node._backward.__qualname__.startswith("join.")]
+    assert not any(id(parent) in leaves for node in joins for parent in node._parents)
+    assert all(type(node) in (Tensor, CTensor) for node in nodes)
+    pairs = [node for node in nodes if type(node) is CTensor]
+    assert pairs and all(node._parents == () for node in pairs)
 
 
 # -- dtypes ----------------------------------------------------------------
@@ -326,10 +389,7 @@ def test_mixed_binary_ops_pass_grad_check(shapes, op, a_complex, b_complex, seed
     b = leaf(rng, sb, b_complex, away_from_zero=op == "div")
     proj = rng.normal(size=out_shape) + 1j * rng.normal(size=out_shape)
 
-    def value(x):
-        return x.z if isinstance(x, CTensor) else x
-
     def loss():
-        return (BINARY[op](value(a), value(b)) * np.conj(proj)).real().sum()
+        return (BINARY[op](a, b) * np.conj(proj)).real().sum()
 
     assert grad_check(loss, [a, b]) < 1e-4

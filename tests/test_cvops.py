@@ -32,14 +32,6 @@ def rten(rng, *shape, grad=True):
     return Tensor(rng.normal(size=shape), requires_grad=grad)
 
 
-def projected(y, rng):
-    if isinstance(y, CTensor):
-        pr = rng.normal(size=y.shape)
-        pi = rng.normal(size=y.shape)
-        return (y.re * pr + y.im * pi).sum()
-    return (y * rng.normal(size=y.shape)).sum()
-
-
 class TestLinear:
     def test_identity_weight(self):
         x = CTensor.from_numpy(np.array([[1 + 1j]]))
@@ -68,7 +60,7 @@ class TestLinear:
 
         def loss():
             y = cv_linear(x, w, b)
-            return (y.re * pr + y.im * pi).sum()
+            return (y.real() * pr + y.imag() * pi).sum()
 
         assert grad_check(loss, [x, w, b]) < 1e-4
 
@@ -109,7 +101,7 @@ class TestConv:
 
         def loss():
             y = cv_conv1d(x, k, padding=1)
-            return (y.re * pr + y.im * pi).sum()
+            return (y.real() * pr + y.imag() * pi).sum()
 
         assert grad_check(loss, [x, k]) < 1e-4
 
@@ -153,7 +145,7 @@ class TestSoftmax:
 
         def loss():
             y = cv_softmax(x)
-            return (y.re * pr + y.im * pi).sum()
+            return (y.real() * pr + y.imag() * pi).sum()
 
         assert grad_check(loss, [x]) < 1e-4
 
@@ -187,7 +179,7 @@ class TestLayerNorm:
 
         def loss():
             y = cv_layer_norm(x)
-            return (y.re * pr + y.im * pi).sum()
+            return (y.real() * pr + y.imag() * pi).sum()
 
         assert grad_check(loss, [x]) < 1e-4
 
@@ -208,7 +200,7 @@ class TestActivations:
         a_re = Tensor(0.25, requires_grad=True)
         a_im = Tensor(0.25, requires_grad=True)
         y = cprelu(x, a_re, a_im)
-        (y.re.sum() + y.im.sum()).backward()
+        (y.real().sum() + y.imag().sum()).backward()
         assert a_re.grad == pytest.approx(-2.0)
         assert a_im.grad == pytest.approx(0.0)
 
@@ -400,7 +392,7 @@ class TestWmsa:
             def loss():
                 y = wmsa(x, params, window=4, shift=2)
                 if complex_valued:
-                    return (y.re * proj_r + y.im * proj_i).sum()
+                    return (y.real() * proj_r + y.imag() * proj_i).sum()
                 return (y * proj_r).sum()
 
             leaves = [x, params.wq, params.wk, params.wv, params.rpe, params.out_w]

@@ -36,7 +36,7 @@ def prelu_composite(x, slope):
 
 
 def cprelu_node(z, slope_re, slope_im):
-    return cprelu(CTensor(z), slope_re, slope_im).z
+    return cprelu(z, slope_re, slope_im)
 
 
 def cprelu_composite(z, slope_re, slope_im):
