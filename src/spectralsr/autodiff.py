@@ -437,15 +437,16 @@ def softmax_array(a):
     return y
 
 
-def softmax(x, axis=-1):
-    """Numerically stable softmax along ``axis`` as one node.
+def softmax(x):
+    """Numerically stable softmax over the last axis as one node.
 
-    Backward: ``y * (g - sum(g * y))``, the sum taken along ``axis``.
+    Backward: ``y * (g - sum(g * y))``, the row sum taken by ``einsum``
+    as in :func:`softmax_array`.
     """
-    y = np.moveaxis(softmax_array(np.moveaxis(x.data, axis, -1)), -1, axis)
+    y = softmax_array(x.data)
 
     def back(g):
-        x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        x._accumulate(y * (g - np.einsum("...i,...i->...", g, y)[..., None]))
 
     return Tensor(y, _parents=(x,), _backward=back)
 

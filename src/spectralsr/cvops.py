@@ -105,7 +105,7 @@ def cv_softmax(x, modulus_bias=None):
         if any_small:
             u[small] = 1.0
         gw = g.real * u.real + g.imag * u.imag
-        gm = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        gm = w * (gw - np.einsum("...i,...i->...", gw, w)[..., None])
         wm = w * inv_m
         gz = (gm - wm * gw) * u + wm * g
         if any_small:
@@ -359,7 +359,7 @@ def wmsa(x, params, window, shift=0, return_weights=False):
     if logits.data.dtype.kind == "c":
         attn = cv_softmax(logits, modulus_bias=mask)
     else:
-        attn = softmax(logits if mask is None else logits + mask, axis=-1)
+        attn = softmax(logits if mask is None else logits + mask)
     ctx = attn @ v  # [..., h, nw, W, d]
     perm = tuple(range(ctx.ndim - 4)) + (ctx.ndim - 3, ctx.ndim - 2, ctx.ndim - 4, ctx.ndim - 1)
     ctx = ctx.transpose(perm).reshape(*lead, nw, window, h * d)

@@ -88,11 +88,11 @@ def test_relu_grad():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(5, 9)) * 10)
-    s = softmax(x, axis=-1)
+    s = softmax(x)
     assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
     xg = Tensor(x.data, requires_grad=True)
     proj = rng.normal(size=(5, 9))
-    check(lambda: (softmax(xg, axis=-1) * proj).sum(), xg, tol=1e-5)
+    check(lambda: (softmax(xg) * proj).sum(), xg, tol=1e-5)
 
 
 def test_modulus_matches_abs_and_grad():

@@ -84,7 +84,6 @@ def test_softmax_matches_composite_on_masked_and_extreme_rows():
     mask = np.zeros((3, 8))
     mask[1, 4:] = -1e9
     assert_same_node(lambda x: softmax(x + mask), lambda x: softmax_composite(x + mask), [logits])
-    assert_same_node(lambda x: softmax(x, axis=1), lambda x: softmax_composite(x, axis=1), [logits])
 
 
 def test_layer_norm_matches_composite_with_a_constant_row():
