@@ -15,8 +15,11 @@ Runs one subprocess per checkout, each importing that checkout's
 
 Prints JSON: per case, the largest absolute change divided by the largest
 absolute parent value (0.0 when the two are bit-identical); the largest
-of them all; and whether any case is ``null``, which it is when its array
-shape differs between the checkouts or one checkout lacks it.
+of them all; whether any case is ``null``, which it is when its array
+shape differs between the checkouts or one checkout lacks it; and, per
+checkout and variant, the number of tape nodes the toy training step's
+loss reaches (``tape_nodes``), so a refactor's node change comes from the
+same run as its drift.
 """
 
 from __future__ import annotations
@@ -36,6 +39,18 @@ CONFIGS = ("micro", "toy", "default")
 BATCH = 3           # signals in a batched forward
 TRAIN_SCENES = 16   # scenes in the toy training step
 SEED = 19
+NODES = "tape_nodes/"  # key prefix of the node counts, which are not drift cases
+
+
+def tape_nodes(root):
+    """The number of nodes reachable from ``root`` through ``_parents``."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
 
 
 def emit(path):
@@ -68,6 +83,7 @@ def emit(path):
         out = model.model_forward_tensor(CTensor.from_numpy(inputs), store)
         diff = out - targets
         loss = (diff * diff).mean()
+        cases[NODES + variant] = np.array(tape_nodes(loss))
         loss.backward()
         cases[f"train/{variant}/loss"] = loss.data
         for name in store.names():
@@ -87,7 +103,9 @@ def run_checkout(checkout, out_path):
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     with np.load(out_path) as data:
-        return {name: data[name] for name in data.files}
+        cases = {name: data[name] for name in data.files}
+    nodes = {name[len(NODES):]: int(cases.pop(name)) for name in sorted(cases) if name.startswith(NODES)}
+    return cases, nodes
 
 
 def relative_change(parent, change):
@@ -124,9 +142,10 @@ def main(argv=None):
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
     with tempfile.TemporaryDirectory(prefix="output-drift-") as tmp:
-        parent = run_checkout(args.parent, Path(tmp) / "parent.npz")
-        change = run_checkout(args.change, Path(tmp) / "change.npz")
-    print(json.dumps(compare(parent, change), indent=1))
+        parent, parent_nodes = run_checkout(args.parent, Path(tmp) / "parent.npz")
+        change, change_nodes = run_checkout(args.change, Path(tmp) / "change.npz")
+    report = {**compare(parent, change), "tape_nodes": {"parent": parent_nodes, "change": change_nodes}}
+    print(json.dumps(report, indent=1))
     return 0
 
 

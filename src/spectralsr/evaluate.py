@@ -34,6 +34,8 @@ def psnr(estimate, target):
 
     An estimate with a NaN or infinite value has no PSNR: it raises
     ``ValueError``, so a diverged model cannot score as a perfect one.
+    So does a PSNR below float64's range, when the squared error
+    overflows or the peak-to-error ratio underflows to 0.
     """
     estimate = np.asarray(estimate, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -44,10 +46,14 @@ def psnr(estimate, target):
     peak = target.max()
     if peak <= 0:
         raise ValueError("PSNR undefined for an all-zero target")
-    mse = np.mean((estimate - target) ** 2)
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return float(min(PSNR_CAP_DB, 10.0 * np.log10(peak**2 / mse)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mse = np.mean((estimate - target) ** 2)
+        if mse == 0.0:
+            return PSNR_CAP_DB
+        value = 10.0 * np.log10(peak**2 / mse)
+    if np.isnan(value) or value == -np.inf:
+        raise ValueError("PSNR below float64's range: the squared error overflows or dwarfs the squared peak")
+    return float(min(PSNR_CAP_DB, value))
 
 
 def _nearest_bin(f, n_grid):

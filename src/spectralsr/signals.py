@@ -359,4 +359,7 @@ def read_dataset(path):
         raise ValueError(f"{path}: the dataset has no records")
     if signals.shape[1] == 0:
         raise ValueError(f"{path}: the signals have no samples")
+    bad = np.flatnonzero(~np.isfinite(signals).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: signal {bad[0]} holds a NaN or infinite sample")
     return Dataset(scenes, signals, header)

@@ -344,6 +344,38 @@ def test_eval_signals_of_no_samples_exit_1_with_one_line(tmp_path, capsys, metho
     assert str(data) in err and "no samples" in err
 
 
+def test_eval_psnr_below_float64_range_exits_1_with_one_line(tmp_path, capsys):
+    # samples of 1e100 give a periodogram of about 1e200, whose squared error overflows
+    data = tmp_path / "d.bin"
+    write_signals(data, np.full((2, 16), 1e100, complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print before the error line
+        assert run(["eval", "--data", data, "--method", "periodogram", "--out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "PSNR" in err and "float64" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("command", [
+    ["eval", "--method", "music"],
+    ["baseline", "--method", "periodogram", "--order", "1"],
+])
+def test_a_non_finite_signal_sample_exits_1_with_one_line(tmp_path, capsys, command, bad):
+    data, out = tmp_path / "d.bin", tmp_path / "out.bin"
+    signals = np.ones((3, 16), complex)
+    signals[2, 5] = bad
+    write_signals(data, signals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command + ["--data", data, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data) in err and "signal 2" in err
+    assert not out.exists()
+
+
 def test_generate_noiseless_header_is_strict_json(tmp_path):
     data = tmp_path / "d.bin"
     assert run(["generate", "--n", 2, "--out", data, "--snr", "inf",

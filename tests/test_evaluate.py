@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ class TestPsnr:
     def test_non_finite_estimate_raises(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             psnr(np.full(4, bad), np.array([0.0, 1.0, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("estimate, target", [
+        (np.full(4, 1e200), np.array([0.0, 1.0, 0.5, 0.0])),      # the squared error overflows
+        (np.full(4, 1e100), np.array([0.0, 1e-250, 0.0, 0.0])),   # peak^2 / mse underflows to 0
+        (np.array([-1e308, 0.0]), np.array([1e308, 0.0])),        # the error itself overflows
+    ])
+    def test_a_psnr_below_float64_range_raises_without_a_warning(self, estimate, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float64"):
+                psnr(estimate, target)
+
+    def test_an_overflowing_peak_over_a_finite_error_is_the_cap(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psnr(np.array([1e200, 1.0]), np.array([1e200, 0.0])) == 150.0
 
 
 class TestResolutionDecision:

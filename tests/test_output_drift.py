@@ -20,3 +20,7 @@ def test_a_checkout_against_itself_drifts_nowhere():
     assert sum(name.startswith("forward/") for name in cases) == 12
     assert set(cases.values()) == {0.0} and report["max"] == 0.0
     assert not report["missing_or_reshaped"]
+    nodes = report["tape_nodes"]
+    assert nodes["parent"].keys() == nodes["change"].keys() == {"swinfreq", "cvswinfreq"}
+    assert nodes["parent"] == nodes["change"] and min(nodes["parent"].values()) > 0
+    assert not any(name.startswith("tape_nodes") for name in cases)
