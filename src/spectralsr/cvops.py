@@ -85,10 +85,11 @@ def cv_softmax(x, modulus_bias=None):
     array applied to the moduli before the softmax (used for attention
     masking: large negative bias drives the weight to zero).
 
-    One node on a complex ``x``.  With moduli ``m``, phases ``u = x / m``, weights ``w``,
-    ``gw = Re(g conj(u))`` and ``gm = w (gw - sum(gw w))``, the backward
-    is ``gm u + w (g - gw u) / m``; below ``SOFTMAX_EPS`` the phase is
-    constant and only the modulus term ``gm x / max(m, ROOT_EPS)`` is left.
+    One node on a complex ``x``.  With moduli ``m``, phases ``u = x / m``,
+    weights ``w``, ``gw = Re(g conj(u))`` and ``gm = w (gw - sum(gw w))``,
+    the backward is ``gm u + w (g - gw u) / m``; below ``SOFTMAX_EPS`` the
+    phase is constant and only the modulus term ``gm x / max(m, ROOT_EPS)``
+    is left.
     """
     zd = x.data
     m = np.abs(zd)

@@ -52,7 +52,8 @@ def psnr(estimate, target):
             return PSNR_CAP_DB
         value = 10.0 * np.log10(peak**2 / mse)
     if np.isnan(value) or value == -np.inf:
-        raise ValueError("PSNR below float64's range: the squared error overflows or dwarfs the squared peak")
+        raise ValueError("PSNR below float64's range: the squared error overflows "
+                         "or dwarfs the squared peak")
     return float(min(PSNR_CAP_DB, value))
 
 

@@ -259,8 +259,8 @@ def param_count(cfg):
 def mf_forward(x, store):
     """Complex front end: linear N -> M*mid, reshape, conv to C channels.
 
-    ``x`` is a complex [B, N] ``Tensor``.  Returns [B, M, C]; real (modulus) for
-    the swinfreq variant.
+    ``x`` is a complex [B, N] ``Tensor``.  Returns [B, M, C]; real
+    (modulus) for the swinfreq variant.
     """
     cfg = store.config
     if x.ndim != 2:
@@ -279,9 +279,7 @@ def mf_forward(x, store):
 def _norm(x, store, prefix):
     cx = store.config.is_complex
     affine = [store.get(f"{prefix}.{name}") for name in _NORM_INIT[cx]]
-    if cx:
-        return cv_layer_norm(x, affine)
-    return layer_norm(x, *affine)
+    return cv_layer_norm(x, affine) if cx else layer_norm(x, *affine)
 
 
 def _attn_params(store, prefix, cfg):
