@@ -51,7 +51,7 @@ def psnr(estimate, target):
         if mse == 0.0:
             return PSNR_CAP_DB
         value = 10.0 * np.log10(peak**2 / mse)
-    if np.isnan(value) or value == -np.inf:
+    if not value > -np.inf:  # NaN or -inf
         raise ValueError("PSNR below float64's range: the squared error overflows "
                          "or dwarfs the squared peak")
     return float(min(PSNR_CAP_DB, value))

@@ -260,7 +260,7 @@ def layer_norm_inputs():
 
 def test_cv_layer_norm_without_affine():
     z = layer_norm_inputs()
-    assert_matches_composite(lambda t: cv_layer_norm(t),
+    assert_matches_composite(cv_layer_norm,
                              lambda p: pair_layer_norm(*p), [z])
 
 
