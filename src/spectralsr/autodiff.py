@@ -278,14 +278,6 @@ class Tensor:
 
     # -- transcendental ------------------------------------------------
 
-    def exp(self):
-        e = np.exp(self.data)
-
-        def back(g):
-            self._accumulate(g * _conj(e))
-
-        return Tensor(e, _parents=(self,), _backward=back)
-
     def sqrt(self):
         """Square root; ``ROOT_EPS`` floors the derivative's denominator near zero."""
         root = np.sqrt(self.data)
@@ -482,31 +474,44 @@ def conv1d(x, w, stride=1, padding=0):
 
 
 def conv_transpose1d(x, w, stride, crop=0):
-    """Transposed 1-D convolution: x [B, Cin, M], w [Cin, Cout, k].
+    """Transposed 1-D convolution of real tensors: x [B, Cin, M], w [Cin, Cout, k].
 
     Output length is (M-1)*stride + k - 2*crop; ``crop`` trims both ends.
+    Any k works.  With q = ceil(k / stride), the kernel is zero-padded to q
+    stride-long blocks of taps and laid out as [Cin, q·Cout·stride], so
+    the products of every tap are one GEMM of ``x`` as [B·M, Cin].  Output
+    sample ``(m + j)·stride + s`` collects block j's column s of input
+    position m, so the GEMM result is added back in q shifted blocks (2
+    for the model's head, where k = 2·stride).  The backward reads the
+    gradient through the same blocks: one GEMM for ``x`` and one for
+    ``w``, whose padded taps are cut off.
     """
     xd, wd = x.data, w.data
     if xd.shape[1] != wd.shape[0]:
         raise ValueError(f"channel mismatch: input {xd.shape[1]} vs kernel {wd.shape[0]}")
-    b, _, m = xd.shape
+    b, c_in, m = xd.shape
     _, c_out, k = wd.shape
-    full = np.zeros((b, c_out, (m - 1) * stride + k))
-    for t in range(k):
-        full[:, :, t : t + stride * m : stride] += np.einsum(
-            "bcm,co->bom", xd, wd[:, :, t], optimize=True
-        )
-    data = full[:, :, crop : full.shape[2] - crop]
+    q = -(-k // stride)
+    length = (m - 1) * stride + k
+    # tap j*stride + s of output channel o goes to GEMM column (j, o, s)
+    wg = np.pad(wd, ((0, 0), (0, 0), (0, q * stride - k)))
+    wg = wg.reshape(c_in, c_out, q, stride).transpose(0, 2, 1, 3).reshape(c_in, q * c_out * stride)
+    xg = xd.transpose(0, 2, 1).reshape(b * m, c_in)
+    yg = (xg @ wg).reshape(b, m, q, c_out, stride)
+    full = np.zeros((b, c_out, m + q - 1, stride))
+    for j in range(q):
+        full[:, :, j : j + m] += yg[:, :, j].transpose(0, 2, 1, 3)
+    data = full.reshape(b, c_out, -1)[:, :, crop : length - crop]
 
     def back(g):
         gf = np.zeros_like(full)
-        gf[:, :, crop : full.shape[2] - crop] = g
-        taps = [gf[:, :, t : t + stride * m : stride] for t in range(k)]
-        gx = np.zeros_like(xd)
-        for t in range(k):
-            gx += np.einsum("bom,co->bcm", taps[t], wd[:, :, t], optimize=True)
-        x._accumulate(gx)
-        gw = np.stack([np.einsum("bcm,bom->co", xd, tap, optimize=True) for tap in taps], axis=-1)
-        w._accumulate(gw)
+        gf.reshape(b, c_out, -1)[:, :, crop : length - crop] = g
+        gg = np.empty((b, m, q, c_out, stride))
+        for j in range(q):
+            gg[:, :, j] = gf[:, :, j : j + m].transpose(0, 2, 1, 3)
+        gg = gg.reshape(b * m, q * c_out * stride)
+        x._accumulate((gg @ wg.T).reshape(b, m, c_in).transpose(0, 2, 1))
+        gw = (xg.T @ gg).reshape(c_in, q, c_out, stride).transpose(0, 2, 1, 3)
+        w._accumulate(gw.reshape(c_in, c_out, q * stride)[:, :, :k])
 
     return Tensor(data, _parents=(x, w), _backward=back)

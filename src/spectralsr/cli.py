@@ -201,9 +201,12 @@ def _cmd_eval(args):
                       f"{args.data} holds signals of n = {n} samples and n_sr = {n_sr} bins")
     method = ev.make_method(args.method, n_sr, checkpoint)
     values = []
-    for scene, signal in zip(data.scenes, data.signals):
-        target = render_target(scene, n_sr)
-        values.append(ev.psnr(method(signal, scene), target))
+    for i, (scene, signal) in enumerate(zip(data.scenes, data.signals)):
+        estimate = method(signal, scene)
+        try:
+            values.append(ev.psnr(estimate, render_target(scene, n_sr)))
+        except ValueError as exc:
+            raise ValueError(f"{args.data}: signal {i}: {exc}") from exc
     report = {
         "method": args.method,
         "records": len(values),

@@ -121,24 +121,24 @@ def layer_norm(x, gamma, beta):
 
     With ``xhat = (x - mean) * rstd`` and ``gh = g * gamma``, backward is
     ``rstd * (gh - mean(gh) - xhat * mean(gh * xhat))`` for ``x``,
-    ``sum(g * xhat)`` for ``gamma`` and ``sum(g)`` for ``beta``.
+    ``sum(g * xhat)`` for ``gamma`` and ``sum(g)`` for ``beta``.  The row
+    sums go through ``einsum``, as in :func:`softmax_array`.
     """
     scale = 1.0 / x.shape[-1]
-    c = x.data - x.data.sum(axis=-1, keepdims=True) * scale
-    std = np.sqrt((c * c).sum(axis=-1, keepdims=True) * scale + NORM_EPS)
+    c = x.data - np.einsum("...i->...", x.data)[..., None] * scale
+    std = np.sqrt(np.einsum("...i,...i->...", c, c)[..., None] * scale + NORM_EPS)
     xhat = c / std
     rstd = 1.0 / std
 
     def back(g):
         gh = g * gamma.data
-        mean_gh = gh.sum(axis=-1, keepdims=True) * scale
-        mean_ghx = (gh * xhat).sum(axis=-1, keepdims=True) * scale
+        mean_gh = np.einsum("...i->...", gh)[..., None] * scale
+        mean_ghx = np.einsum("...i,...i->...", gh, xhat)[..., None] * scale
         x._accumulate(rstd * (gh - mean_gh - xhat * mean_ghx))
         gamma._accumulate(g * xhat)
         beta._accumulate(g)
 
     return Tensor(xhat * gamma.data + beta.data, _parents=(x, gamma, beta), _backward=back)
-
 
 
 def cv_layer_norm(x, affine=None):
@@ -226,22 +226,29 @@ def cprelu(x, slope_re, slope_im):
 
 
 def gelu(x):
-    """Exact (erf-based) GELU ``x * Phi(x)`` as one node.
+    """Exact GELU ``x * Phi(x)`` as one node, ``Phi`` the standard normal
+    CDF (scipy's ``ndtr``).
 
-    Backward: ``g * (Phi(x) + x * phi(x))``, with ``Phi`` from the forward
-    ``erf`` call and ``phi`` the standard normal density.  ``erf`` is
-    the package's only scipy use, so scipy is imported here, on the first
-    GELU, rather than with the package.
+    Backward: ``g * (Phi(x) + x * phi(x))``, with ``Phi`` kept from the
+    forward and ``phi`` the standard normal density, built in place.
+    ``ndtr`` is the package's only scipy use, so scipy is imported here,
+    on the first GELU, rather than with the package.
     """
-    from scipy.special import erf
+    from scipy.special import ndtr
 
-    cdf2 = erf(x.data * (1.0 / np.sqrt(2.0))) + 1.0  # 2 * Phi(x)
+    cdf = ndtr(x.data)
 
     def back(g):
-        density = np.exp(-0.5 * x.data**2) * (1.0 / np.sqrt(2.0 * np.pi))
-        x._accumulate(g * (0.5 * cdf2 + x.data * density))
+        grad = np.square(x.data)
+        grad *= -0.5
+        np.exp(grad, out=grad)
+        grad *= 1.0 / np.sqrt(2.0 * np.pi)
+        grad *= x.data
+        grad += cdf
+        grad *= g
+        x._accumulate(grad)
 
-    return Tensor(x.data * 0.5 * cdf2, _parents=(x,), _backward=back)
+    return Tensor(x.data * cdf, _parents=(x,), _backward=back)
 
 
 def window_partition(x, window):

@@ -354,6 +354,7 @@ def test_eval_psnr_below_float64_range_exits_1_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "PSNR" in err and "float64" in err
+    assert str(data) in err and "signal 0" in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -3,21 +3,30 @@ composite expressions they replace, written out here from elementwise tape ops."
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import ndtr
 
 from spectralsr.autodiff import Tensor, join, softmax
 from spectralsr.cvops import CTensor, cprelu, gelu, grad_check, layer_norm
 
 
-def erf_node(x):
-    def back(g):
-        x._accumulate(g * (2.0 / np.sqrt(np.pi)) * np.exp(-x.data**2))
+def exp_node(x):
+    e = np.exp(x.data)
 
-    return Tensor(erf(x.data), _parents=(x,), _backward=back)
+    def back(g):
+        x._accumulate(g * e)
+
+    return Tensor(e, _parents=(x,), _backward=back)
+
+
+def ndtr_node(x):
+    def back(g):
+        x._accumulate(g * np.exp(-0.5 * x.data**2) / np.sqrt(2.0 * np.pi))
+
+    return Tensor(ndtr(x.data), _parents=(x,), _backward=back)
 
 
 def softmax_composite(x, axis=-1):
-    e = (x - np.max(x.data, axis=axis, keepdims=True)).exp()
+    e = exp_node(x - np.max(x.data, axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -28,7 +37,7 @@ def layer_norm_composite(x, gamma, beta, eps=1e-5):
 
 
 def gelu_composite(x):
-    return x * 0.5 * (erf_node(x * (1.0 / np.sqrt(2.0))) + 1.0)
+    return x * ndtr_node(x)
 
 
 def prelu_composite(x, slope):

@@ -6,6 +6,12 @@ definition: in the package itself (the re-exports of ``__init__`` do not
 count), in the benchmark (``perfbench/*.py`` except its own tests), in
 ``scripts/`` or in the acceptance criteria.  Unit tests do not count, so
 code that only its unit tests reach fails here.
+
+The same holds for the public methods of ``Tensor``: one counts as used
+when its name is read as an attribute, in those files, of anything but a
+module bound by ``import`` (``np.exp`` is no use of ``Tensor.exp``).  An
+array's method of the same name does count, since a name alone cannot
+tell a ``Tensor`` from an array.
 """
 
 import ast
@@ -55,6 +61,35 @@ def unreferenced_definitions():
     )
 
 
+def attribute_names(tree):
+    """Attribute names read in ``tree`` on anything but a module bound by ``import``."""
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+    }
+
+
+def unreferenced_tensor_methods():
+    used = set()
+    for path in referencing_files():
+        used |= attribute_names(ast.parse(path.read_text(), str(path)))
+    tree = ast.parse((PACKAGE / "autodiff.py").read_text())
+    tensor = next(s for s in tree.body if isinstance(s, ast.ClassDef) and s.name == "Tensor")
+    return sorted(
+        f"Tensor.{method.name}"
+        for method in tensor.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and method.name not in used
+    )
+
+
 def test_every_package_function_and_class_has_a_caller():
     assert unreferenced_definitions() == []
 
@@ -63,3 +98,12 @@ def test_a_definition_used_only_inside_itself_is_reported():
     tree = ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    return h()\n\ndef h():\n    pass\n")
     assert referenced_names(tree, defines=True) == {"h", "n"}
     assert {"f", "h"} <= referenced_names(tree)
+
+
+def test_every_public_tensor_method_has_a_caller():
+    assert unreferenced_tensor_methods() == []
+
+
+def test_an_attribute_of_an_imported_module_is_no_use():
+    tree = ast.parse("import numpy as np\nnp.exp(x.sqrt())\n")
+    assert attribute_names(tree) == {"sqrt"}
