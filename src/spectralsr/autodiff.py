@@ -7,12 +7,11 @@ op's backward is the real one with conjugated operands: ``y = a * b``
 hands ``g * conj(b)`` to ``a`` and ``y = x @ w`` hands ``g @ wᴴ`` to
 ``x`` and ``xᴴ @ g`` to ``w``.  A real tensor that receives a complex
 gradient keeps its real part (``Tensor._accumulate``), which is the
-gradient with respect to a real coordinate.  :func:`join` builds a
-complex tensor from a real and an imaginary part, and ``real()`` /
-``imag()`` split one.  A complex parameter is a ``Tensor`` subclass that
-stores two real leaves (:class:`spectralsr.cvops.CTensor`); every other
-value on the tape is a plain ``Tensor``.  ``sqrt``, ``relu``,
-:func:`softmax` and :func:`conv_transpose1d` take real tensors only.
+gradient with respect to a real coordinate.  A complex parameter is a
+``Tensor`` subclass that stores two real leaves
+(:class:`spectralsr.cvops.CTensor`); every other value on the tape is a
+plain ``Tensor``.  ``relu``, :func:`softmax` and :func:`conv_transpose1d`
+take real tensors only.
 
 Each op builds its output with ``Tensor(data, _parents=..., _backward=...)``;
 the constructor records that tape entry only while grad mode is on, so
@@ -48,9 +47,9 @@ import math
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "join", "softmax", "conv1d", "conv_transpose1d"]
+__all__ = ["Tensor", "no_grad", "softmax", "conv1d", "conv_transpose1d"]
 
-ROOT_EPS = 1e-12  # sqrt and modulus floor their value at this in their derivatives
+ROOT_EPS = 1e-12  # modulus and square roots floor their value at this in their derivatives
 
 _GRAD_ENABLED = contextvars.ContextVar("spectralsr_grad_enabled", default=True)
 
@@ -264,52 +263,13 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = Tensor._wrap(other)
-
-        def back(g):
-            self._accumulate(g / _conj(other.data))
-            other._accumulate(-g * _conj(self.data) / _conj(other.data) ** 2)
-
-        return Tensor(self.data / other.data, _parents=(self, other), _backward=back)
-
-    def __rtruediv__(self, other):
-        return Tensor._wrap(other) / self
-
     # -- transcendental ------------------------------------------------
-
-    def sqrt(self):
-        """Square root; ``ROOT_EPS`` floors the derivative's denominator near zero."""
-        root = np.sqrt(self.data)
-
-        def back(g):
-            self._accumulate(g / (2.0 * np.maximum(root, ROOT_EPS)))
-
-        return Tensor(root, _parents=(self,), _backward=back)
 
     def relu(self):
         def back(g):
             self._accumulate(g * (self.data > 0.0))
 
         return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _backward=back)
-
-    def conj(self):
-        def back(g):
-            self._accumulate(g.conj())
-
-        return Tensor(self.data.conj(), _parents=(self,), _backward=back)
-
-    def real(self):
-        def back(g):
-            self._accumulate(g)
-
-        return Tensor(self.data.real, _parents=(self,), _backward=back)
-
-    def imag(self):
-        def back(g):
-            self._accumulate(1j * g)
-
-        return Tensor(self.data.imag, _parents=(self,), _backward=back)
 
     def modulus(self):
         """``|x|``; the backward ``g x / max(|x|, ROOT_EPS)`` stays bounded at 0."""
@@ -389,23 +349,6 @@ class Tensor:
             other._accumulate(_conj(np.swapaxes(self.data, -1, -2)) @ g)
 
         return Tensor(self.data @ other.data, _parents=(self, other), _backward=back)
-
-
-def join(re, im):
-    """The complex tensor ``re + i im`` of two real tensors of one shape.
-
-    Backward hands the real part of the gradient to ``re`` and the
-    imaginary part to ``im``.
-    """
-    data = np.empty(re.shape, dtype=np.complex128)
-    data.real = re.data
-    data.imag = im.data
-
-    def back(g):
-        re._accumulate(g.real)
-        im._accumulate(g.imag)
-
-    return Tensor(data, _parents=(re, im), _backward=back)
 
 
 def _last_axis_max(a):

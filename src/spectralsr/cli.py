@@ -105,7 +105,8 @@ def _build_parser():
     base.add_argument("--data", required=True, help="dataset file, as written by generate")
     base.add_argument("--out", required=True, help="spectra file")
     base.add_argument("--n-grid", type=_positive_int, default=4096)
-    base.add_argument("--order", type=_positive_int, default=1, help="model order for music/omp")
+    base.add_argument("--order", type=_positive_int, default=None,
+                      help="model order, music and omp only (default 1)")
     return parser
 
 
@@ -172,8 +173,11 @@ def _cmd_train(args):
 
 
 def _load_model(names, checkpoint_path):
-    """The checkpoint behind the ``model`` method, or None if it is not named."""
+    """The checkpoint behind the ``model`` method, or None if it is not named
+    (and then no checkpoint may be given)."""
     if "model" not in names:
+        if checkpoint_path is not None:
+            raise ConfigError("--checkpoint is used by the model method only")
         return None
     if checkpoint_path is None:
         raise ConfigError("the model method requires --checkpoint")
@@ -191,11 +195,11 @@ def _check_model_size(checkpoint, n, n_sr, given):
 
 
 def _cmd_eval(args):
+    checkpoint = _load_model([args.method], args.checkpoint)
     data = read_dataset(args.data)
     n_sr = data.meta.get("n_sr", 4096)
     if type(n_sr) is not int or n_sr < 1:
         raise ValueError(f"{args.data}: header n_sr must be an integer of at least 1, got {n_sr!r}")
-    checkpoint = _load_model([args.method], args.checkpoint)
     n = data.signals.shape[1]
     _check_model_size(checkpoint, n, n_sr,
                       f"{args.data} holds signals of n = {n} samples and n_sr = {n_sr} bins")
@@ -271,9 +275,12 @@ def _cmd_compare(args):
 
 
 def _cmd_baseline(args):
+    if args.method == "periodogram" and args.order is not None:
+        raise ConfigError("--method periodogram does not use --order")
+    order = None if args.method == "periodogram" else args.order or 1
     signals = read_dataset(args.data).signals
-    spectra = [ev.ESTIMATORS[args.method](s, args.order, args.n_grid) for s in signals]
-    header = {"method": args.method, "order": args.order, "n_grid": args.n_grid}
+    spectra = [ev.ESTIMATORS[args.method](s, order, args.n_grid) for s in signals]
+    header = {"method": args.method, "order": order, "n_grid": args.n_grid}
     write_file(args.out, header, np.stack(spectra))
     print(f"wrote {len(spectra)} spectra to {args.out}")
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ROOT_EPS, Tensor, _unbroadcast, conv1d, join, no_grad, softmax, softmax_array
+from .autodiff import ROOT_EPS, Tensor, _unbroadcast, conv1d, no_grad, softmax, softmax_array
 
 SOFTMAX_EPS = 1e-12  # below this modulus the phase is defined as 1
 NORM_EPS = 1e-5  # variance ridge of the real and complex layer norms
@@ -154,20 +154,44 @@ def cv_layer_norm(x, affine=None):
     ``s = sqrt(det V)`` and ``t = sqrt(vrr + vii + 2 s)``.  The optional
     affine is the per-channel tensors ``(g_rr, g_ri, g_ir, g_ii, b_re,
     b_im)`` of a 2x2 real matrix and a complex shift (see :func:`_plane_affine`).
+
+    The whitening is one node, whose backward runs its per-row steps in
+    reverse; both square roots floor their value at ``ROOT_EPS`` there.
     """
     if x.shape[-1] < 2:
         raise ValueError("complex layer norm needs at least 2 channels")
-    c = x - x.mean(axis=-1, keepdims=True)
-    cr, ci = c.real(), c.imag()
-    vrr = (cr * cr).mean(axis=-1, keepdims=True) + NORM_EPS
-    vii = (ci * ci).mean(axis=-1, keepdims=True) + NORM_EPS
-    vri = (cr * ci).mean(axis=-1, keepdims=True)
-    s = (vrr * vii - vri * vri).sqrt()
-    t = (vrr + vii + 2.0 * s).sqrt()
+    scale = 1.0 / x.shape[-1]
+    c = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    cr, ci = c.real, c.imag
+    vrr = (cr * cr).sum(axis=-1, keepdims=True) * scale + NORM_EPS
+    vii = (ci * ci).sum(axis=-1, keepdims=True) * scale + NORM_EPS
+    vri = (cr * ci).sum(axis=-1, keepdims=True) * scale
+    s = np.sqrt(vrr * vii - vri * vri)
+    t = np.sqrt(vrr + vii + 2.0 * s)
     inv = 1.0 / (s * t)
     alpha = ((vrr + vii) * 0.5 + s) * inv
-    beta = join((vii - vrr) * 0.5 * inv, -(vri * inv))
-    w = alpha * c + beta * c.conj()
+    beta = np.empty(inv.shape, dtype=np.complex128)
+    beta.real = (vii - vrr) * 0.5 * inv
+    beta.imag = -(vri * inv)
+
+    def back(g):
+        # the forward steps in reverse: alpha and beta, 1 / (s t), t, s, the covariance, c
+        g_alpha = np.einsum("...i,...i->...", g, c.conj()).real[..., None]
+        g_beta = np.einsum("...i,...i->...", g, c)[..., None]
+        g_br, g_bi = g_beta.real, g_beta.imag
+        g_inv = g_alpha * ((vrr + vii) * 0.5 + s) + g_br * (vii - vrr) * 0.5 - g_bi * vri
+        g_st = -g_inv * inv * inv
+        g_u = g_st * s / (2.0 * np.maximum(t, ROOT_EPS))
+        g_d = (g_alpha * inv + g_st * t + 2.0 * g_u) / (2.0 * np.maximum(s, ROOT_EPS))
+        g_vrr = ((g_alpha - g_br) * 0.5 * inv + g_u + g_d * vii) * (2.0 * scale)
+        g_vii = ((g_alpha + g_br) * 0.5 * inv + g_u + g_d * vrr) * (2.0 * scale)
+        g_vri = (-(g_bi * inv) - 2.0 * g_d * vri) * scale
+        g_c = alpha * g + beta * g.conj()
+        g_c.real += g_vrr * cr + g_vri * ci
+        g_c.imag += g_vii * ci + g_vri * cr
+        x._accumulate(g_c - g_c.sum(axis=-1, keepdims=True) * scale)
+
+    w = Tensor(alpha * c + beta * c.conj(), _parents=(x,), _backward=back)
     return w if affine is None else _plane_affine(w, *affine)
 
 

@@ -5,11 +5,10 @@ from spectralsr.autodiff import (
     Tensor,
     conv1d,
     conv_transpose1d,
-    join,
     no_grad,
     softmax,
 )
-from spectralsr.cvops import grad_check
+from spectralsr.cvops import CTensor, grad_check
 
 
 def numeric_grad(fn, t, eps=1e-6):
@@ -51,12 +50,6 @@ def test_add_mul_broadcast():
     check(lambda: ((a + b) * b).sum(), b)
 
 
-def test_div_pow():
-    rng = np.random.default_rng(1)
-    a = Tensor(rng.uniform(0.5, 2.0, size=(5,)), requires_grad=True)
-    check(lambda: (1.0 / a + a * a * a).sum(), a)  # Tensor has no power op
-
-
 def test_matmul_batched():
     rng = np.random.default_rng(2)
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -64,12 +57,6 @@ def test_matmul_batched():
     proj = rng.normal(size=(2, 3, 5))
     check(lambda: ((a @ b) * proj).sum(), a)
     check(lambda: ((a @ b) * proj).sum(), b)
-
-
-def test_exp_sqrt():
-    rng = np.random.default_rng(3)
-    a = Tensor(rng.uniform(0.2, 2.0, size=(6,)), requires_grad=True)
-    check(lambda: (exp_node(a) + a.sqrt()).sum(), a)
 
 
 def test_reductions_and_reshape():
@@ -109,16 +96,16 @@ def test_modulus_matches_abs_and_grad():
     rng = np.random.default_rng(8)
     re = Tensor(rng.normal(size=(6,)), requires_grad=True)
     im = Tensor(rng.normal(size=(6,)), requires_grad=True)
-    m = join(re, im).modulus()
+    m = CTensor(re, im).modulus()
     assert np.allclose(m.data, np.abs(re.data + 1j * im.data))
-    check(lambda: join(re, im).modulus().sum(), re)
-    check(lambda: join(re, im).modulus().sum(), im)
+    check(lambda: CTensor(re, im).modulus().sum(), re)
+    check(lambda: CTensor(re, im).modulus().sum(), im)
 
 
 def test_modulus_bounded_gradient_at_origin():
     re = Tensor(np.zeros(3), requires_grad=True)
     im = Tensor(np.zeros(3), requires_grad=True)
-    join(re, im).modulus().sum().backward()
+    CTensor(re, im).modulus().sum().backward()
     assert np.all(np.isfinite(re.grad))
     assert np.all(np.isfinite(im.grad))
 

@@ -152,10 +152,11 @@ def test_baseline_runs_all_methods(tmp_path):
     write_signals(src, sig)
     for method in ("periodogram", "music", "omp"):
         out = tmp_path / f"{method}.bin"
-        assert run(["baseline", "--method", method, "--data", src,
-                    "--out", out, "--n-grid", 128, "--order", 2]) == 0
+        order = None if method == "periodogram" else 2
+        assert run(["baseline", "--method", method, "--data", src, "--out", out, "--n-grid", 128]
+                   + ([] if order is None else ["--order", order])) == 0
         header, spectra = read_file(out)
-        assert header == {"method": method, "order": 2, "n_grid": 128}
+        assert header == {"method": method, "order": order, "n_grid": 128}
         assert spectra.shape == (2, 128)
         assert np.all(spectra >= 0)
 
@@ -173,7 +174,8 @@ def test_baseline_and_make_method_dispatch_to_the_classical_estimators(tmp_path)
     for method, spectrum in expected.items():
         out = tmp_path / f"{method}.bin"
         assert run(["baseline", "--method", method, "--data", tmp_path / "sig.bin",
-                    "--out", out, "--n-grid", n_grid, "--order", order]) == 0
+                    "--out", out, "--n-grid", n_grid]
+                   + ([] if method == "periodogram" else ["--order", order])) == 0
         np.testing.assert_array_equal(read_file(out)[1], [spectrum(s, order) for s in sig])
         scene = FrequencyScene([0.1, 0.2, 0.3], np.ones(3))
         np.testing.assert_array_equal(
@@ -192,10 +194,11 @@ def test_baseline_bad_input_exits_1(tmp_path):
 def test_generate_then_baseline_gives_the_estimator_spectra(tmp_path, method):
     data, out = tmp_path / "d.bin", tmp_path / "s.bin"
     assert run(["generate", "--n", 3, "--signal-dim", 16, "--n-sr", 64, "--out", data]) == 0
-    assert run(["baseline", "--method", method, "--order", 1, "--n-grid", 64,
-                "--data", data, "--out", out]) == 0
+    order = None if method == "periodogram" else 1
+    assert run(["baseline", "--method", method, "--n-grid", 64, "--data", data, "--out", out]
+               + ([] if order is None else ["--order", order])) == 0
     header, spectra = read_file(out)
-    assert header == {"method": method, "order": 1, "n_grid": 64}
+    assert header == {"method": method, "order": order, "n_grid": 64}
     expected = [ESTIMATORS[method](s, 1, 64) for s in read_dataset(data).signals]
     assert np.array_equal(spectra, expected)
 
@@ -361,7 +364,7 @@ def test_eval_psnr_below_float64_range_exits_1_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 @pytest.mark.parametrize("command", [
     ["eval", "--method", "music"],
-    ["baseline", "--method", "periodogram", "--order", "1"],
+    ["baseline", "--method", "periodogram"],
 ])
 def test_a_non_finite_signal_sample_exits_1_with_one_line(tmp_path, capsys, command, bad):
     data, out = tmp_path / "d.bin", tmp_path / "out.bin"
@@ -619,6 +622,28 @@ def test_compare_flag_the_experiment_does_not_use_is_a_usage_error(
     line = next(x for x in err.splitlines() if x.startswith("error: "))
     assert line == f"error: --experiment {experiment} does not use {flags[0]}"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,message", [
+    (["baseline", "--method", "periodogram", "--order", 7, "--out", "{dir}/s.bin"],
+     "--method periodogram does not use --order"),
+    (["eval", "--method", "periodogram", "--checkpoint", "{dir}/none.ckpt"],
+     "--checkpoint is used by the model method only"),
+    (["compare", "--methods", "periodogram", "--experiment", "sidelobe", "--checkpoint",
+      "{dir}/none.ckpt", "--n", 16, "--n-grid", 64, "--out", "{dir}/x"],
+     "--checkpoint is used by the model method only"),
+], ids=["baseline-order", "eval-checkpoint", "compare-checkpoint"])
+def test_a_flag_that_no_chosen_method_uses_is_a_usage_error(tmp_path, capsys, command, message):
+    data = tmp_path / "d.bin"
+    write_signals(data, np.ones((2, 16), complex))
+    argv = [str(a).format(dir=tmp_path) for a in command]
+    if argv[0] != "compare":
+        argv += ["--data", str(data)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.count("error: ") == 1 and "Traceback" not in err
+    assert f"error: {message}" in err.splitlines()
+    assert out == "" and [p.name for p in tmp_path.iterdir()] == ["d.bin"]
 
 
 def test_compare_resolution_defaults_to_20_db_and_200_trials(tmp_path):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from spectralsr.autodiff import Tensor, join, softmax
+from spectralsr.autodiff import Tensor, softmax
 from spectralsr.cvops import CTensor, cprelu, gelu, grad_check, layer_norm
+
+from tape_ops import div, imag_part, join, real_part, sqrt
 
 
 def exp_node(x):
@@ -27,13 +29,13 @@ def ndtr_node(x):
 
 def softmax_composite(x, axis=-1):
     e = exp_node(x - np.max(x.data, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    return div(e, e.sum(axis=axis, keepdims=True))
 
 
 def layer_norm_composite(x, gamma, beta, eps=1e-5):
     c = x - x.mean(axis=-1, keepdims=True)
     var = (c * c).mean(axis=-1, keepdims=True)
-    return c / (var + eps).sqrt() * gamma + beta
+    return div(c, sqrt(var + eps)) * gamma + beta
 
 
 def gelu_composite(x):
@@ -49,14 +51,14 @@ def cprelu_node(z, slope_re, slope_im):
 
 
 def cprelu_composite(z, slope_re, slope_im):
-    return join(prelu_composite(z.real(), slope_re), prelu_composite(z.imag(), slope_im))
+    return join(prelu_composite(real_part(z), slope_re), prelu_composite(imag_part(z), slope_im))
 
 
 def forward_and_grads(op, arrays, proj):
     """Output and the gradient of ``sum(Re(op(*leaves) * proj))`` per leaf."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = op(*leaves)
-    (out * proj).real().sum().backward()
+    real_part(out * proj).sum().backward()
     return out.data, [leaf.grad for leaf in leaves]
 
 

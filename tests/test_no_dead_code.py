@@ -7,11 +7,13 @@ count), in the benchmark (``perfbench/*.py`` except its own tests), in
 ``scripts/`` or in the acceptance criteria.  Unit tests do not count, so
 code that only its unit tests reach fails here.
 
-The same holds for the public methods of ``Tensor``: one counts as used
-when its name is read as an attribute, in those files, of anything but a
-module bound by ``import`` (``np.exp`` is no use of ``Tensor.exp``).  An
-array's method of the same name does count, since a name alone cannot
-tell a ``Tensor`` from an array.
+The same holds for the public methods of ``Tensor``, in those files: a
+property (``shape``, ``size``, ``ndim``) counts as used when its name is
+read as an attribute of anything but a module bound by ``import``, and
+any other method only when its name is called that way (``np.exp(x)`` is
+no use of ``Tensor.exp``, and reading an array's ``.real`` none of
+``Tensor.real``).  An array's method of the same name called does count,
+since a name alone cannot tell a ``Tensor`` from an array.
 """
 
 import ast
@@ -61,24 +63,44 @@ def unreferenced_definitions():
     )
 
 
-def attribute_names(tree):
-    """Attribute names read in ``tree`` on anything but a module bound by ``import``."""
+def _object_attributes(tree):
+    """The attribute nodes of ``tree`` on anything but a module bound by ``import``."""
     modules = {
         alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree) if isinstance(node, ast.Import)
         for alias in node.names
     }
-    return {
-        node.attr for node in ast.walk(tree)
+    return [
+        node for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+    ]
+
+
+def attribute_names(tree):
+    """Attribute names read in ``tree`` on anything but a module bound by ``import``."""
+    return {node.attr for node in _object_attributes(tree)}
+
+
+def called_names(tree):
+    """Attribute names called in ``tree`` on anything but a module bound by ``import``."""
+    attributes = {id(node) for node in _object_attributes(tree)}
+    return {
+        node.func.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node.func) in attributes
     }
 
 
+def _is_property(method):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in method.decorator_list)
+
+
 def unreferenced_tensor_methods():
-    used = set()
+    read, called = set(), set()
     for path in referencing_files():
-        used |= attribute_names(ast.parse(path.read_text(), str(path)))
+        tree = ast.parse(path.read_text(), str(path))
+        read |= attribute_names(tree)
+        called |= called_names(tree)
     tree = ast.parse((PACKAGE / "autodiff.py").read_text())
     tensor = next(s for s in tree.body if isinstance(s, ast.ClassDef) and s.name == "Tensor")
     return sorted(
@@ -86,7 +108,7 @@ def unreferenced_tensor_methods():
         for method in tensor.body
         if isinstance(method, ast.FunctionDef)
         and not method.name.startswith("_")
-        and method.name not in used
+        and method.name not in (read if _is_property(method) else called)
     )
 
 
@@ -107,3 +129,8 @@ def test_every_public_tensor_method_has_a_caller():
 def test_an_attribute_of_an_imported_module_is_no_use():
     tree = ast.parse("import numpy as np\nnp.exp(x.sqrt())\n")
     assert attribute_names(tree) == {"sqrt"}
+
+
+def test_only_a_call_uses_a_method():
+    tree = ast.parse("import numpy as np\nx.real\ny.sqrt()\nnp.exp(z)\n")
+    assert called_names(tree) == {"sqrt"}
