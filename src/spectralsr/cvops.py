@@ -7,7 +7,9 @@ A complex value on the tape is a plain complex128
 complex parameter is a :class:`CTensor`: a ``Tensor`` that stores a pair
 of real leaves (``<name>.re`` / ``<name>.im``), so optimizers,
 checkpoints and :func:`grad_check` see only real tensors and perturb the
-real and imaginary parts independently.
+real and imaginary parts independently.  The layer ops (attention, the
+norms, GELU, CPReLU, the modulus softmax) are each one tape node with a
+closed-form backward.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ROOT_EPS, Tensor, _unbroadcast, conv1d, no_grad, softmax, softmax_array
+from .autodiff import ROOT_EPS, Tensor, _conj, _unbroadcast, conv1d, no_grad, softmax, softmax_array
 
 SOFTMAX_EPS = 1e-12  # below this modulus the phase is defined as 1
 NORM_EPS = 1e-5  # variance ridge of the real and complex layer norms
@@ -352,7 +354,7 @@ def _rpe_index(window):
 
 
 def wmsa(x, params, window, shift=0, return_weights=False):
-    """Windowed multi-head self-attention with optional shifted partition.
+    """Windowed multi-head self-attention with optional shifted partition, as one node.
 
     ``x`` is a real or complex [..., M, C] ``Tensor``, and ``params``
     holds tensors of the same dtype.  The two paths differ only in the
@@ -360,46 +362,93 @@ def wmsa(x, params, window, shift=0, return_weights=False):
     keeps phases.
     When ``shift`` > 0 the sequence is cyclically rotated by ``-shift``
     before partitioning and cross-segment pairs are masked out; the
-    rotation is undone on the way out.
+    rotation is undone on the way out.  With ``return_weights`` the
+    attention weights [..., h, M/W, W, W] come back too, as a constant.
+
+    The forward is one GEMM of the R = (leading dims)·M input rows by the
+    [C, 3·h·d] stacked Q, K and V weights, the biases and the scale on q,
+    ``q @ kᵀ`` per window and head (a plain transpose on the complex path),
+    the positional bias and the mask, the softmax, ``attn @ v``, the head
+    merge to [R, h·d] and one GEMM by ``out_w``.  The backward keeps only
+    the input rows, q, k, v, the softmax's own arrays and the merged
+    context, and runs the closed form on flat rows: one GEMM each for
+    ``out_w``, the context, the input and the QKV weights, ``einsum`` row
+    sums for the biases, and the ``rpe`` gradient summed over the leading
+    dims and the windows, then scattered over its 2W-1 offsets.  The
+    softmax is the ``softmax`` / ``cv_softmax`` node on a leaf of its own,
+    whose backward hands the logits' gradient to that leaf.
     """
     m, c = x.shape[-2], x.shape[-1]
+    if m % window != 0:
+        raise ValueError(f"window size {window} does not divide length {m}")
     h, d = params.heads, params.dim
-    if shift:
-        x = cyclic_shift(x, -shift)
-    win = window_partition(x, window)  # [..., nw, W, C]
-    nw = win.shape[-3]
-    lead = win.shape[:-3]
+    hd, nw, lead = h * d, m // window, x.shape[:-2]
+    scale = 1.0 / np.sqrt(d)
 
-    def heads(weight, bias):
-        """One GEMM for all heads: [..., nw, W, C] @ [C, h*d], then [..., h, nw, W, d]."""
-        y = win @ weight.transpose((1, 0, 2)).reshape(c, h * d)
+    def heads(a):
+        """[R, h*d] rows -> a [..., h, nw, W, d] view."""
+        return np.moveaxis(a.reshape(*lead, nw, window, h, d), -2, -4)
+
+    rows = (np.roll(x.data, -shift, axis=-2) if shift else x.data).reshape(-1, c)
+    projections = (params.wq, params.wk, params.wv)
+    biases = (params.bq, params.bk, params.bv)
+    w_qkv = np.concatenate([p.data.transpose(1, 0, 2).reshape(c, hd) for p in projections], axis=1)
+    qkv = rows @ w_qkv  # [R, 3*h*d]: q, k, v side by side
+    for i, bias in enumerate(biases):
         if bias is not None:
-            y = y + bias.reshape(h * d)
-        n = len(lead)
-        return y.reshape(*lead, nw, window, h, d).transpose(
-            tuple(range(n)) + (n + 2, n, n + 1, n + 3)
-        )
-
-    q = heads(params.wq, params.bq) * (1.0 / np.sqrt(d))
-    k = heads(params.wk, params.bk)
-    v = heads(params.wv, params.bv)
-    # plain (not conjugate) transpose of K on the complex path
-    logits = q @ k.swap_last2()
-    logits = logits + params.rpe.gather_last(_rpe_index(window)).reshape(h, 1, window, window)
+            qkv[:, i * hd : (i + 1) * hd] += bias.data.reshape(hd)
+    qkv[:, :hd] *= scale
+    q, k, v = (heads(qkv[:, i * hd : (i + 1) * hd]) for i in range(3))
+    logits = q @ np.swapaxes(k, -1, -2)  # [..., h, nw, W, W]
+    rel = _rpe_index(window)
+    logits += params.rpe.data[:, rel].reshape(h, 1, window, window)
     # the unshifted partition has no masked pair, so it adds no mask
     mask = shift_attention_mask(m, window, shift)[None] if shift else None
-    if logits.data.dtype.kind == "c":
-        attn = cv_softmax(logits, modulus_bias=mask)
-    else:
-        attn = softmax(logits if mask is None else logits + mask)
-    ctx = attn @ v  # [..., h, nw, W, d]
-    perm = tuple(range(ctx.ndim - 4)) + (ctx.ndim - 3, ctx.ndim - 2, ctx.ndim - 4, ctx.ndim - 1)
-    ctx = ctx.transpose(perm).reshape(*lead, nw, window, h * d)
-    out = window_reverse(ctx @ params.out_w + params.out_b, window)
+    complex_valued = logits.dtype.kind == "c"
+    if mask is not None and not complex_valued:
+        logits += mask
+    leaf = Tensor(logits, requires_grad=True)
+    attn = cv_softmax(leaf, modulus_bias=mask) if complex_valued else softmax(leaf)
+    # the leaf only collects the logits' gradient: it need not keep the logits
+    leaf.data = attn.data
+    merged = np.empty((len(rows), hd), dtype=np.result_type(attn.data, v))
+    np.matmul(attn.data, v, out=heads(merged))  # the heads merged: [R, h*d]
+    out_w = params.out_w.data
+    y = (merged @ out_w + params.out_b.data).reshape(x.shape)
     if shift:
-        out = cyclic_shift(out, shift)
+        y = np.roll(y, shift, axis=-2)
+
+    def back(g):
+        g = (np.roll(g, -shift, axis=-2) if shift else g).reshape(-1, c)
+        params.out_b._accumulate(np.einsum("rc->c", g))
+        params.out_w._accumulate(_conj(merged).T @ g)
+        g_ctx = heads(g @ _conj(out_w).T)
+        attn._backward(g_ctx @ _conj(np.swapaxes(v, -1, -2)))
+        g_logits = leaf.grad
+        g_rel = np.einsum("lhnk->hk", g_logits.reshape(-1, h, nw, window * window))
+        g_rpe = np.zeros((h, 2 * window - 1), dtype=g_rel.dtype)
+        np.add.at(g_rpe, (slice(None), rel.reshape(-1)), g_rel)
+        params.rpe._accumulate(g_rpe)
+        g_qkv = np.empty(qkv.shape, dtype=np.result_type(g_logits, qkv))
+        g_q, g_k, g_v = (heads(g_qkv[:, i * hd : (i + 1) * hd]) for i in range(3))
+        np.matmul(g_logits, _conj(k), out=g_q)
+        g_q *= scale
+        np.matmul(np.swapaxes(g_logits, -1, -2), _conj(q), out=g_k)
+        np.matmul(_conj(np.swapaxes(attn.data, -1, -2)), g_ctx, out=g_v)
+        g_bias = np.einsum("rk->k", g_qkv)
+        g_w = _conj(rows).T @ g_qkv
+        for i, (weight, bias) in enumerate(zip(projections, biases)):
+            cols = slice(i * hd, (i + 1) * hd)
+            weight._accumulate(g_w[:, cols].reshape(c, h, d).transpose(1, 0, 2))
+            if bias is not None:
+                bias._accumulate(g_bias[cols].reshape(h, d))
+        g_x = (g_qkv @ _conj(w_qkv).T).reshape(x.shape)
+        x._accumulate(np.roll(g_x, shift, axis=-2) if shift else g_x)
+
+    parents = (x, *projections, *(b for b in biases if b is not None), params.rpe, params.out_w, params.out_b)
+    out = Tensor(y, _parents=parents, _backward=back)
     if return_weights:
-        return out, attn
+        return out, Tensor(attn.data)
     return out
 
 

@@ -358,8 +358,7 @@ def model_forward(signal, store):
     Runs under :func:`~spectralsr.autodiff.no_grad`, so no tape is built
     and each intermediate is freed as soon as the next op has used it.
     """
-    arr = np.atleast_2d(np.asarray(signal, dtype=np.complex128))
-    arr = np.stack([minmax_normalize(row) for row in arr])
+    arr = minmax_normalize(np.atleast_2d(np.asarray(signal, dtype=np.complex128)))
     with no_grad():
         out = model_forward_tensor(Tensor(arr), store)
     result = out.data

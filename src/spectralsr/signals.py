@@ -89,34 +89,68 @@ def sample_scene(rng, cfg=None):
     return FrequencyScene(np.array(freqs), mod * np.exp(1j * phase))
 
 
+def _tone_table(scenes):
+    """Frequencies and amplitudes [S, L] of ``scenes``, padded to the largest
+    tone count L with frequency 0 and amplitude 0."""
+    if len(scenes) == 1:  # nothing to pad: the sweeps' one-scene calls skip the copies
+        return scenes[0].freqs[None], scenes[0].amps[None]
+    counts = np.array([scene.count for scene in scenes], dtype=np.int64)
+    real = np.arange(counts.max(initial=0)) < counts[:, None]
+    freqs = np.zeros(real.shape)
+    amps = np.zeros(real.shape, dtype=np.complex128)
+    if scenes:
+        freqs[real] = np.concatenate([scene.freqs for scene in scenes])
+        amps[real] = np.concatenate([scene.amps for scene in scenes])
+    return freqs, amps
+
+
 def synthesize(scene, n, snr_db=np.inf, rng=None):
     """Render s[t] = sum_l a_l exp(j 2 pi f_l t) plus circular white noise.
 
     The noise power is set against the empirical power of the noiseless
     samples so the realized SNR matches ``snr_db`` exactly per scene;
     ``snr_db`` of +inf (or None) means noiseless; -inf, NaN, or an SNR so
-    low that the noise scale overflows raises ``ValueError``.
+    low that the noise scale overflows raises ``ValueError``.  One scene of
+    :func:`synthesize_batch`.
+    """
+    return synthesize_batch([scene], n, [snr_db], rng)[0]
+
+
+def synthesize_batch(scenes, n, snrs, rng=None):
+    """:func:`synthesize` of each scene at its SNR, as rows [S, n].
+
+    ``snrs`` holds one SNR per scene and is read lazily: each scene's SNR
+    is taken just before that scene's noise is drawn (real part, then
+    imaginary part), so a generator that draws each SNR from ``rng`` keeps
+    the draws in that order scene by scene.  The tones are padded to the
+    largest count with amplitude 0, which adds exact zeros, so every row
+    has the bits of a scene synthesized alone.  An error names the scene
+    by its index.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    freqs, amps = _tone_table(scenes)
     t = np.arange(n)
-    clean = (scene.amps[:, None] * np.exp(2j * np.pi * scene.freqs[:, None] * t)).sum(axis=0)
-    if snr_db is None or snr_db == np.inf:
-        return clean
-    if not np.isfinite(snr_db):
-        raise ValueError(f"SNR must be finite or inf (noiseless), got {snr_db}")
-    power = np.mean(np.abs(clean) ** 2)
-    if power == 0.0:
-        raise ValueError("SNR undefined for a zero signal")
-    if rng is None:
-        raise ValueError("a random stream is required for noisy synthesis")
-    with np.errstate(divide="ignore", over="ignore"):
-        # above about 3083 dB this float64 power is inf and sigma 0 (a Python float raises)
-        sigma = np.sqrt(power / np.float64(10.0) ** (snr_db / 10.0) / 2.0)
-    if not np.isfinite(sigma):
-        raise ValueError(f"SNR {snr_db} dB is too low: the noise scale is not finite")
-    noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return clean + noise
+    out = (amps[:, :, None] * np.exp(2j * np.pi * freqs[:, :, None] * t)).sum(axis=1)
+    power = (np.abs(out) ** 2).sum(axis=1) / n  # the row means with np.mean's bits
+    for i, snr_db in zip(range(len(scenes)), snrs, strict=True):
+        if snr_db is None or snr_db == np.inf:
+            continue
+        if not np.isfinite(snr_db):
+            raise ValueError(f"scene {i}: SNR must be finite or inf (noiseless), got {snr_db}")
+        if power[i] == 0.0:
+            raise ValueError(f"scene {i}: SNR undefined for a zero signal")
+        if rng is None:
+            raise ValueError("a random stream is required for noisy synthesis")
+        with np.errstate(divide="ignore", over="ignore"):
+            # above about 3083 dB this float64 power is inf and sigma 0 (a Python float raises);
+            # a scalar power, since numpy's array ** can round the last bit differently
+            sigma = np.sqrt(power[i] / np.float64(10.0) ** (snr_db / 10.0) / 2.0)
+        if not np.isfinite(sigma):
+            raise ValueError(f"scene {i}: SNR {snr_db} dB is too low: the noise scale is not finite")
+        row = out[i]  # a view: adding in place skips writing the row back
+        row += sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return out
 
 
 def spectrum_grid(n_sr):
@@ -128,14 +162,15 @@ def spectrum_grid(n_sr):
 _EXP_UNDERFLOW = 746.0
 
 
-def render_target(scene, n_sr, sigma_f=None):
-    """Ground-truth spectrum: sum of wrapped Gaussians of height |amp|.
+def _lobes(freqs, amps, n_sr, sigma_f):
+    """The bins [T, K] and values of each tone's Gaussian lobe, of height
+    |amp| and width ``sigma_f`` (default 0.12 bins).
 
     Each tone is evaluated only on the bins within ``sqrt(2 * 746)``
     sigmas of it (all bins if that window would reach ``n_sr``).  Further
-    out its Gaussian is exactly 0.0 in float64, and ``np.add.at`` adds the
-    tones to each bin in tone order, so the result has the same bits as a
-    sum of every tone over every bin.
+    out its Gaussian is exactly 0.0 in float64, so adding the values to
+    their bins with ``np.add.at``, which adds in tone order, gives the same
+    bits as a sum of every tone over every bin.
     """
     if sigma_f is None:
         sigma_f = 0.12 / n_sr
@@ -145,30 +180,47 @@ def render_target(scene, n_sr, sigma_f=None):
     # +2 bins: one for rounding each tone to its nearest bin, one of margin
     radius = math.floor(min(reach, n_sr)) + 2
     if 2 * radius + 1 < n_sr:
-        nearest = np.rint((scene.freqs[:, None] + 0.5) * n_sr).astype(np.int64)
+        nearest = np.rint((freqs[:, None] + 0.5) * n_sr).astype(np.int64)
         bins = (nearest + np.arange(-radius, radius + 1)) % n_sr
     else:
-        bins = np.broadcast_to(np.arange(n_sr), (scene.count, n_sr))
-    d = wrapped_distance(spectrum_grid(n_sr)[bins], scene.freqs[:, None])
-    values = np.abs(scene.amps)[:, None] * np.exp(-(d**2) / (2.0 * sigma_f**2))
+        bins = np.broadcast_to(np.arange(n_sr), (len(freqs), n_sr))
+    d = wrapped_distance(spectrum_grid(n_sr)[bins], freqs[:, None])
+    return bins, np.abs(amps)[:, None] * np.exp(-(d**2) / (2.0 * sigma_f**2))
+
+
+def render_target(scene, n_sr, sigma_f=None):
+    """Ground-truth spectrum: sum of wrapped Gaussians of height |amp|,
+    bit-identical to the sum of every tone over every bin (see :func:`_lobes`)."""
+    bins, values = _lobes(scene.freqs, scene.amps, n_sr, sigma_f)
     out = np.zeros(n_sr)
     np.add.at(out, bins.ravel(), values.ravel())
     return out
 
 
+def render_targets(scenes, n_sr, sigma_f=None):
+    """:func:`render_target` of each scene, as rows [S, n_sr], with one
+    ``np.add.at`` over the flat rows, so every row has the same bits."""
+    bins, values = _lobes(np.concatenate([scene.freqs for scene in scenes]),
+                          np.concatenate([scene.amps for scene in scenes]), n_sr, sigma_f)
+    owner = np.repeat(np.arange(len(scenes)), [scene.count for scene in scenes])
+    out = np.zeros((len(scenes), n_sr))
+    np.add.at(out.reshape(-1), (bins + owner[:, None] * n_sr).ravel(), values.ravel())
+    return out
+
+
 def minmax_normalize(x):
-    """Center by the complex mean and scale so the max modulus is 1.
+    """Center each signal (the last axis) by its complex mean and scale it
+    so its max modulus is 1.
 
     A constant signal maps to all zeros; the transform is idempotent.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.size == 0:
         raise ValueError("cannot normalize an empty signal")
-    centered = x - x.mean()
-    peak = np.abs(centered).max()
-    if peak < 1e-300:
-        return np.zeros_like(x)
-    return centered / peak
+    centered = x - x.mean(axis=-1, keepdims=True)
+    peak = np.abs(centered).max(axis=-1, keepdims=True)
+    constant = peak < 1e-300
+    return np.where(constant, 0.0, centered / np.where(constant, 1.0, peak))
 
 
 # -- serialization -----------------------------------------------------

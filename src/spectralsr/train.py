@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor
 from .evaluate import psnr
 from .model import model_forward, model_forward_tensor, save_checkpoint
-from .signals import SceneConfig, minmax_normalize, render_target, sample_scene, synthesize
+from .signals import SceneConfig, minmax_normalize, render_targets, sample_scene, synthesize_batch
 
 VALIDATION_SNR_DB = 20.0
 VALIDATION_SEED = 1234
@@ -65,17 +65,18 @@ class TrainHistory:
 
 
 def make_batch(scenes, model_cfg, train_cfg, rng):
-    """Fresh noisy inputs and (noise-free) targets for a list of scenes."""
-    inputs = np.empty((len(scenes), model_cfg.n), dtype=np.complex128)
-    targets = np.empty((len(scenes), model_cfg.n_sr))
-    for i, scene in enumerate(scenes):
-        if train_cfg.snr_lo_db == np.inf:  # both bounds are inf
-            snr = np.inf
-        else:
-            snr = float(rng.uniform(train_cfg.snr_lo_db, train_cfg.snr_hi_db))
-        inputs[i] = minmax_normalize(synthesize(scene, model_cfg.n, snr, rng))
-        targets[i] = render_target(scene, model_cfg.n_sr, train_cfg.sigma_f)
-    return inputs, targets
+    """Fresh noisy inputs and (noise-free) targets for a list of scenes.
+
+    Scene by scene, ``rng`` draws the SNR and then the noise; the rest is
+    computed once for the whole batch.
+    """
+    if train_cfg.snr_lo_db == np.inf:  # both bounds are inf
+        snrs = [np.inf] * len(scenes)
+    else:
+        # a generator, so each SNR is drawn just before its scene's noise
+        snrs = (float(rng.uniform(train_cfg.snr_lo_db, train_cfg.snr_hi_db)) for _ in scenes)
+    inputs = minmax_normalize(synthesize_batch(scenes, model_cfg.n, snrs, rng))
+    return inputs, render_targets(scenes, model_cfg.n_sr, train_cfg.sigma_f)
 
 
 def adamw_step(store, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
@@ -124,15 +125,13 @@ def validation_psnr(store, scenes, train_cfg):
     """
     model_cfg = store.config
     rng = np.random.default_rng(np.random.SeedSequence([VALIDATION_SEED]))
-    signals = np.stack([synthesize(s, model_cfg.n, VALIDATION_SNR_DB, rng) for s in scenes])
+    signals = synthesize_batch(scenes, model_cfg.n, [VALIDATION_SNR_DB] * len(scenes), rng)
     estimates = np.concatenate([
         model_forward(signals[i : i + train_cfg.batch], store)
         for i in range(0, len(scenes), train_cfg.batch)
     ])
-    values = [
-        psnr(estimate, render_target(scene, model_cfg.n_sr, train_cfg.sigma_f))
-        for scene, estimate in zip(scenes, estimates)
-    ]
+    targets = render_targets(scenes, model_cfg.n_sr, train_cfg.sigma_f)
+    values = [psnr(estimate, target) for estimate, target in zip(estimates, targets)]
     return float(np.mean(values))
 
 

@@ -29,7 +29,7 @@ from spectralsr.cvops import (
 from spectralsr.model import init_model, toy_config
 from spectralsr.train import _mse_loss
 
-from tape_ops import div, real_part, sqrt
+from tape_ops import div, real_part, sqrt, swap_last2
 
 
 # -- real-pair composites ------------------------------------------------
@@ -76,7 +76,7 @@ def pair_product(f, a, b):
 
 
 def pair_swap(p):
-    return tuple(None if t is None else t.swap_last2() for t in p)
+    return tuple(None if t is None else swap_last2(t) for t in p)
 
 
 def pair_add(a, b):
@@ -104,7 +104,7 @@ def pair_layer_norm(re, im, affine=None):
     vii = (ci * ci).mean(axis=-1, keepdims=True) + NORM_EPS
     vri = (cr * ci).mean(axis=-1, keepdims=True)
     s = sqrt(vrr * vii - vri * vri)
-    t = sqrt(vrr + vii + 2.0 * s)
+    t = sqrt(vrr + vii + s * 2.0)
     inv = div(1.0, s * t)
     wr = ((vii + s) * cr - vri * ci) * inv
     wi = (-vri * cr + (vrr + s) * ci) * inv
@@ -150,7 +150,9 @@ def close(got, ref):
 
 
 def assert_matches_composite(node, composite, arrays, seed=0):
-    rng = np.random.default_rng(seed)
+    # a stream of its own, so the projection cannot equal inputs drawn from
+    # default_rng(seed) or default_rng([seed, 1])
+    rng = np.random.default_rng([seed, 2])
     out_shape = native_run(node, arrays, np.zeros(1))[0].shape
     proj = rng.normal(size=out_shape) + 1j * rng.normal(size=out_shape)
     got, got_grads = native_run(node, arrays, proj)
@@ -185,7 +187,7 @@ def test_matmul_batched_and_mixed(a_complex):
     product = lambda x, y: pair_product(lambda u, v: u @ v, x, y)  # noqa: E731
     assert_matches_composite(lambda x, y: x @ y, product, [a, b])
     # transposed operands: the backward conjugates strided views
-    assert_matches_composite(lambda x, y: y.swap_last2() @ x.swap_last2(),
+    assert_matches_composite(lambda x, y: swap_last2(y) @ swap_last2(x),
                              lambda x, y: product(pair_swap(y), pair_swap(x)), [a, b])
 
 
@@ -394,7 +396,7 @@ SPECIAL_MAX = 100.0 * np.sqrt(NORM_EPS)
        log_special=st.floats(-3.0, float(np.log10(SPECIAL_MAX))), seed=st.integers(0, 2**16))
 def test_cv_layer_norm_matches_the_composite_over_shapes_and_magnitudes(lead, channels, log_mag,
                                                                         log_special, seed):
-    rng = np.random.default_rng([seed, 1])  # the projection draws from default_rng(seed)
+    rng = np.random.default_rng([seed, 1])  # the projection draws from default_rng([seed, 2])
     mag, special = 10.0 ** log_mag, 10.0 ** log_special
     z = (carray(rng, np.prod(lead), channels) + carray(rng, 1, 1)) * mag
     rank_deficient, real, constant = rng.choice(len(z), 3, replace=False)

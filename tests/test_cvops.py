@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralsr.autodiff import Tensor
 from spectralsr.cvops import (
@@ -21,7 +23,7 @@ from spectralsr.cvops import (
     wmsa,
 )
 
-from tape_ops import imag_part, real_part
+from tape_ops import composite_wmsa, imag_part, real_part
 
 
 def cten(rng, *shape, grad=True):
@@ -399,6 +401,87 @@ class TestWmsa:
 
             leaves = [x, params.wq, params.wk, params.wv, params.rpe, params.out_w]
             assert grad_check(loss, leaves) < 1e-3
+
+
+# -- the one-node wmsa against the composite it replaced ------------------------
+
+PARAM_NAMES = ("wq", "wk", "wv", "bq", "bk", "bv", "rpe", "out_w", "out_b")
+
+
+def attention_arrays(rng, lead, m, c, h, d, window, complex_valued):
+    draw = (lambda *s: rng.normal(size=s) + 1j * rng.normal(size=s)) if complex_valued else (
+        lambda *s: rng.normal(size=s))
+    shapes = dict(wq=(h, c, d), wk=(h, c, d), wv=(h, c, d), bq=(h, d), bk=(h, d), bv=(h, d),
+                  rpe=(h, 2 * window - 1), out_w=(h * d, c), out_b=(c,))
+    arrays = {name: draw(*shape) for name, shape in shapes.items()}
+    arrays["x"] = draw(*lead, m, c)
+    arrays["proj"] = rng.normal(size=(*lead, m, c)) + 1j * rng.normal(size=(*lead, m, c))
+    return arrays
+
+
+def run_attention(op, arrays, h, d, window, shift, complex_valued, with_bk):
+    """``op``'s output and the gradients of x and every parameter under
+    the loss sum(Re(out * conj(proj))); complex parameters are CTensor pairs."""
+    leaf = (lambda a: CTensor.from_numpy(a, requires_grad=True)) if complex_valued else (
+        lambda a: Tensor(a.copy(), requires_grad=True))
+    leaves = {name: leaf(arrays[name]) for name in ("x",) + PARAM_NAMES if name != "bk" or with_bk}
+    params = AttentionParams(**{name: leaves.get(name) for name in PARAM_NAMES}, heads=h, dim=d)
+    out = op(leaves["x"], params, window, shift=shift)
+    real_part(out * np.conj(arrays["proj"])).sum().backward()
+
+    def grad(t):
+        if isinstance(t, CTensor):
+            return grad(t.re) + 1j * grad(t.im)
+        return np.zeros_like(t.data) if t.grad is None else t.grad
+
+    return out.data, {name: grad(t) for name, t in leaves.items()}
+
+
+def assert_node_matches_composite(arrays, h, d, window, shift, complex_valued, with_bk):
+    got, got_grads = run_attention(wmsa, arrays, h, d, window, shift, complex_valued, with_bk)
+    ref, ref_grads = run_attention(composite_wmsa, arrays, h, d, window, shift, complex_valued, with_bk)
+    for name, a, b in [("out", got, ref)] + [(n, got_grads[n], ref_grads[n]) for n in ref_grads]:
+        # a real key bias's gradient is 0 up to rounding (the softmax ignores a
+        # row constant), so it is held to the scale of the key weights' gradient
+        scale = ref_grads["wk"] if name == "bk" and not complex_valued else b
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(scale)), name
+
+
+class TestWmsaNode:
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("with_bk", [False, True])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_matches_the_composite(self, complex_valued, shifted, with_bk, lead):
+        rng = np.random.default_rng(40)
+        h, c, d, window, nw = 2, 5, 3, 4, 3
+        arrays = attention_arrays(rng, lead, window * nw, c, h, d, window, complex_valued)
+        shift = window // 2 if shifted else 0
+        assert_node_matches_composite(arrays, h, d, window, shift, complex_valued, with_bk)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(h=st.integers(1, 3), d=st.integers(1, 4), window=st.integers(1, 8), nw=st.integers(1, 4),
+           c=st.integers(1, 5), lead=st.lists(st.integers(1, 3), max_size=2), shifted=st.booleans(),
+           complex_valued=st.booleans(), with_bk=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_the_composite_over_drawn_sizes(self, h, d, window, nw, c, lead, shifted,
+                                                    complex_valued, with_bk, seed):
+        rng = np.random.default_rng(seed)
+        arrays = attention_arrays(rng, tuple(lead), window * nw, c, h, d, window, complex_valued)
+        shift = window // 2 if shifted else 0
+        assert_node_matches_composite(arrays, h, d, window, shift, complex_valued, with_bk)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_one_node_whose_parents_are_the_input_and_the_parameters(self, complex_valued):
+        rng = np.random.default_rng(41)
+        params = make_attention(rng, 2, 3, 2, 4, complex_valued)
+        if not complex_valued:
+            params.bk = None
+        x = cten(rng, 2, 8, 3) if complex_valued else rten(rng, 2, 8, 3)
+        out = wmsa(x, params, window=4, shift=2)
+        expected = [x] + [getattr(params, n) for n in PARAM_NAMES if getattr(params, n) is not None]
+        assert len(out._parents) == len(expected)
+        assert all(p is e for p, e in zip(out._parents, expected))
 
 
 class TestMlp:

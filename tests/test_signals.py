@@ -23,6 +23,7 @@ from spectralsr.signals import (
     sample_scene,
     spectrum_grid,
     synthesize,
+    synthesize_batch,
     wrapped_distance,
     write_dataset,
     write_file,
@@ -207,6 +208,30 @@ def test_render_target_equals_the_dense_sum_bit_for_bit(n_sr, sigma_bins):
         assert np.array_equal(render_target(scene, n_sr, sigma_f), expected)
         if sigma_bins == 0.12:
             assert np.array_equal(render_target(scene, n_sr), expected)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n_sr=st.integers(2, 2048), log_sigma_bins=st.floats(-2.0, 3.0), count=st.integers(1, 10),
+       seed=st.integers(0, 2**16))
+def test_render_target_window_equals_the_dense_sum_over_drawn_sigma_and_grid(n_sr, log_sigma_bins,
+                                                                             count, seed):
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(-0.5, 0.5, count)
+    amps = rng.uniform(0.1, 1.0, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    scene = FrequencyScene(freqs, amps)
+    sigma_f = 10.0**log_sigma_bins / n_sr
+    assert np.array_equal(render_target(scene, n_sr, sigma_f), dense_target(scene, n_sr, sigma_f))
+
+
+def test_synthesize_batch_errors_name_the_scene():
+    tone, silent = FrequencyScene([0.1], [1.0]), FrequencyScene([0.2], [0.0])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="scene 2: SNR undefined for a zero signal"):
+        synthesize_batch([tone, tone, silent], 16, [10.0, 10.0, 10.0], rng)
+    with pytest.raises(ValueError, match="scene 1: SNR -4000.0 dB is too low"):
+        synthesize_batch([tone, tone], 16, [10.0, -4000.0], rng)
+    with pytest.raises(ValueError, match="scene 0: SNR must be finite or inf"):
+        synthesize_batch([tone], 16, [np.nan], rng)
 
 
 @pytest.mark.parametrize("sigma_f", [0.0, -1e-3, np.nan])

@@ -3,6 +3,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralsr.autodiff import Tensor
 from spectralsr.evaluate import psnr
@@ -13,8 +15,16 @@ from spectralsr.model import (
     micro_config,
     model_forward,
     save_checkpoint,
+    toy_config,
 )
-from spectralsr.signals import SceneConfig, render_target, sample_scene, synthesize
+from spectralsr.signals import (
+    SceneConfig,
+    render_target,
+    sample_scene,
+    spectrum_grid,
+    synthesize,
+    wrapped_distance,
+)
 from spectralsr.train import (
     VALIDATION_SEED,
     VALIDATION_SNR_DB,
@@ -66,6 +76,74 @@ def test_make_batch_shapes_and_noise_regeneration():
     assert np.array_equal(y1, y2)
     assert not np.array_equal(x1, x2)
     assert np.all(np.abs(x1) <= 1.0 + 1e-12)  # normalized inputs
+
+
+# -- make_batch against the per-scene loop it replaced ------------------------
+
+
+def loop_synthesize(scene, n, snr_db, rng):
+    t = np.arange(n)
+    clean = (scene.amps[:, None] * np.exp(2j * np.pi * scene.freqs[:, None] * t)).sum(axis=0)
+    if snr_db == np.inf:
+        return clean
+    power = np.mean(np.abs(clean) ** 2)
+    sigma = np.sqrt(power / np.float64(10.0) ** (snr_db / 10.0) / 2.0)
+    return clean + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def loop_normalize(x):
+    centered = x - x.mean()
+    peak = np.abs(centered).max()
+    return np.zeros_like(x) if peak < 1e-300 else centered / peak
+
+
+def loop_render(scene, n_sr, sigma_f):
+    sigma_f = 0.12 / n_sr if sigma_f is None else sigma_f
+    radius = int(min(sigma_f * np.sqrt(2.0 * 746.0) * n_sr, n_sr)) + 2
+    if 2 * radius + 1 < n_sr:
+        nearest = np.rint((scene.freqs[:, None] + 0.5) * n_sr).astype(np.int64)
+        bins = (nearest + np.arange(-radius, radius + 1)) % n_sr
+    else:
+        bins = np.broadcast_to(np.arange(n_sr), (scene.count, n_sr))
+    d = wrapped_distance(spectrum_grid(n_sr)[bins], scene.freqs[:, None])
+    values = np.abs(scene.amps)[:, None] * np.exp(-(d**2) / (2.0 * sigma_f**2))
+    out = np.zeros(n_sr)
+    np.add.at(out, bins.ravel(), values.ravel())
+    return out
+
+
+def loop_make_batch(scenes, model_cfg, train_cfg, rng):
+    """make_batch as it was, one scene at a time."""
+    inputs = np.empty((len(scenes), model_cfg.n), dtype=np.complex128)
+    targets = np.empty((len(scenes), model_cfg.n_sr))
+    for i, scene in enumerate(scenes):
+        if train_cfg.snr_lo_db == np.inf:
+            snr = np.inf
+        else:
+            snr = float(rng.uniform(train_cfg.snr_lo_db, train_cfg.snr_hi_db))
+        inputs[i] = loop_normalize(loop_synthesize(scene, model_cfg.n, snr, rng))
+        targets[i] = loop_render(scene, model_cfg.n_sr, train_cfg.sigma_f)
+    return inputs, targets
+
+
+# sigma_f in bins: the default 0.12, 2 bins, and 30 bins, whose window spans all 1024 bins
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(count=st.integers(1, 40), sigma_bins=st.sampled_from([None, 2.0, 30.0]),
+       snr=st.one_of(st.just((np.inf, np.inf)),
+                     st.tuples(st.floats(-20.0, 40.0), st.floats(0.0, 30.0)).map(lambda p: (p[0], p[0] + p[1]))),
+       seed=st.integers(0, 2**16))
+def test_make_batch_matches_the_per_scene_loop_bit_for_bit(count, sigma_bins, snr, seed):
+    cfg = toy_config()
+    tc = TrainConfig(n_scenes=count, batch=count, snr_lo_db=snr[0], snr_hi_db=snr[1],
+                     sigma_f=None if sigma_bins is None else sigma_bins / cfg.n_sr)
+    rng = np.random.default_rng([seed, 0])
+    scenes = [sample_scene(rng, SceneConfig(n_sr=cfg.n_sr)) for _ in range(count)]
+    got_rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    inputs, targets = make_batch(scenes, cfg, tc, got_rng)
+    ref_inputs, ref_targets = loop_make_batch(scenes, cfg, tc, ref_rng)
+    assert np.array_equal(inputs, ref_inputs)
+    assert np.array_equal(targets, ref_targets)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
 
 
 def test_make_batch_noiseless_when_snr_infinite():
