@@ -8,8 +8,10 @@ Runs one subprocess per checkout, each importing that checkout's
 ``src/spectralsr`` with one BLAS thread, on fixed seeds:
 
 - ``model_forward`` of the micro, toy and default configs, both variants,
-  on three signals at once (``batch``) and on the first one alone
-  (``single``);
+  on three signals at once (``batch``), on those and two more
+  (``batch5``; at the default config ``model_forward`` runs it as two
+  halves of 2 and 3 rows in a process that may use two CPUs, while three
+  never split) and on the first one alone (``single``);
 - one toy training step per variant: the MSE loss of a 16-scene batch and
   the gradient of every parameter.
 
@@ -37,6 +39,7 @@ import numpy as np
 VARIANTS = ("swinfreq", "cvswinfreq")
 CONFIGS = ("micro", "toy", "default")
 BATCH = 3           # signals in a batched forward
+SPLIT_BATCH = 5     # signals in a batched forward that model_forward splits (default config)
 TRAIN_SCENES = 16   # scenes in the toy training step
 SEED = 19
 NODES = "tape_nodes/"  # key prefix of the node counts, which are not drift cases
@@ -69,8 +72,9 @@ def emit(path):
             store = model.init_model(cfg, rng)
             scene_cfg = signals.SceneConfig(n_sr=cfg.n_sr)
             batch = np.stack([signals.synthesize(signals.sample_scene(rng, scene_cfg), cfg.n, 10.0, rng)
-                              for _ in range(BATCH)])
-            cases[f"forward/{config}/{variant}/batch"] = model.model_forward(batch, store)
+                              for _ in range(SPLIT_BATCH)])
+            cases[f"forward/{config}/{variant}/batch"] = model.model_forward(batch[:BATCH], store)
+            cases[f"forward/{config}/{variant}/batch5"] = model.model_forward(batch, store)
             cases[f"forward/{config}/{variant}/single"] = model.model_forward(batch[0], store)
     for variant in VARIANTS:
         cfg = model.toy_config(variant)

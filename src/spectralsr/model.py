@@ -9,9 +9,11 @@ the head.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import math
+import os
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -352,16 +354,57 @@ def model_forward_tensor(x, store):
     return sr_forward(mf_forward(x, store), store)
 
 
+# A split batch keeps at least this many rows per piece: numpy sends a
+# 1-row ``x @ W`` to gemv, whose sums round differently from the GEMM of a
+# larger batch (up to 2.7e-15 relative in the front end's linear layer).
+_MIN_PIECE_ROWS = 2
+# ...and at least this many feature values (rows * inner * channels) per
+# piece.  On smaller pieces most of the time is Python code under the
+# interpreter lock, so the two threads take turns and pay for each
+# hand-off.  On a 2-CPU machine with one BLAS thread the split broke even
+# at 16384 values per piece (toy, 32 rows) and paid from the default
+# config's 2-row pieces on; README "Batched inference on two CPUs" has
+# the timings.
+_MIN_PIECE_FEATURES = 16384
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def model_forward(signal, store):
     """Full inference: normalize, run the graph, return numpy spectra.
 
     Runs under :func:`~spectralsr.autodiff.no_grad`, so no tape is built
     and each intermediate is freed as soon as the next op has used it.
+
+    The model treats each row on its own, so a batch whose halves each
+    keep at least ``_MIN_PIECE_ROWS`` rows and ``_MIN_PIECE_FEATURES``
+    feature values (from 4 rows at the default config, 64 at the toy one),
+    in a process that may use at least two CPUs, is normalized whole and
+    then run as two halves: the second in a worker thread (under a copy of
+    the caller's context, so ``no_grad`` holds there too), the first in
+    the caller's thread.  The worker is joined before anything is returned
+    or raised, and the result is bit-identical to the unsplit call.
+    Other batches run in the caller's thread alone.
     """
     arr = minmax_normalize(np.atleast_2d(np.asarray(signal, dtype=np.complex128)))
     with no_grad():
-        out = model_forward_tensor(Tensor(arr), store)
-    result = out.data
+        cfg, half = store.config, len(arr) // 2
+        if (arr.ndim == 2 and half >= _MIN_PIECE_ROWS
+                and half * cfg.inner * cfg.channels >= _MIN_PIECE_FEATURES and _usable_cpus() >= 2):
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1) as pool:
+                second = pool.submit(contextvars.copy_context().run, model_forward_tensor,
+                                     Tensor(arr[half:]), store)
+                first = model_forward_tensor(Tensor(arr[:half]), store)
+            result = np.concatenate([first.data, second.result().data])
+        else:
+            result = model_forward_tensor(Tensor(arr), store).data
     return result[0] if np.asarray(signal).ndim == 1 else result
 
 

@@ -212,14 +212,18 @@ def minmax_normalize(x):
     """Center each signal (the last axis) by its complex mean and scale it
     so its max modulus is 1.
 
-    A constant signal maps to all zeros; the transform is idempotent.
+    A constant signal maps to all zeros.  The transform is idempotent up to
+    the rounding of the mean, which grows with a signal's offset against
+    its spread.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.size == 0:
         raise ValueError("cannot normalize an empty signal")
     centered = x - x.mean(axis=-1, keepdims=True)
     peak = np.abs(centered).max(axis=-1, keepdims=True)
-    constant = peak < 1e-300
+    # the mean of equal samples can round off their value, which would
+    # leave a centred row of equal, nonzero residues
+    constant = (peak < 1e-300) | (x == x[..., :1]).all(axis=-1, keepdims=True)
     return np.where(constant, 0.0, centered / np.where(constant, 1.0, peak))
 
 

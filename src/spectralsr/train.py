@@ -121,7 +121,9 @@ def _mse_loss(store, inputs, targets):
 def validation_psnr(store, scenes, train_cfg):
     """Mean PSNR of the model on held-out scenes at ``VALIDATION_SNR_DB``.
 
-    The model runs on stacked signals, ``train_cfg.batch`` scenes per call.
+    The model runs on stacked signals, ``train_cfg.batch`` scenes per call;
+    ``model_forward`` runs a call with enough work as two halves on two
+    CPUs (from 4 scenes at the default config, 64 at the toy one).
     """
     model_cfg = store.config
     rng = np.random.default_rng(np.random.SeedSequence([VALIDATION_SEED]))

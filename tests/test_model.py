@@ -1,9 +1,12 @@
 import json
+import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spectralsr import model
 from spectralsr.autodiff import Tensor
 from spectralsr.cvops import CTensor
 from spectralsr.model import (
@@ -28,6 +31,13 @@ from spectralsr.train import TrainConfig
 
 def make_store(variant="swinfreq", seed=0):
     return init_model(micro_config(variant), np.random.default_rng(seed))
+
+
+@pytest.fixture
+def split_micro_batches(monkeypatch):
+    """Let ``model_forward`` split a micro batch of 4 rows, even where the process may use one CPU."""
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model, "_MIN_PIECE_FEATURES", 0)
 
 
 class TestConfig:
@@ -160,10 +170,15 @@ class TestForward:
         out2 = model_forward(5.0 * sig + (2.0 - 1j), store)
         assert np.allclose(out1, out2, atol=1e-9)
 
-    def test_rejects_wrong_length(self):
+    @pytest.mark.parametrize("rows", [None, 4])  # one signal, and a batch that splits
+    def test_rejects_wrong_length(self, rows, split_micro_batches):
         store = make_store()
-        with pytest.raises(ValueError, match="length"):
-            model_forward(np.ones(5, dtype=complex), store)
+        n = store.config.n
+        shape = (n + 1,) if rows is None else (rows, n + 1)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=re.escape(f"expected input length {n}, got {n + 1}")):
+            model_forward(np.ones(shape, dtype=complex), store)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("fn", [mf_forward, model_forward_tensor])
     def test_graph_rejects_unbatched_input(self, fn):
@@ -176,17 +191,37 @@ class TestForward:
 
 class TestInferenceWithoutTape:
     @pytest.mark.parametrize("variant", ["swinfreq", "cvswinfreq"])
-    def test_no_parameter_gradient_and_same_output_as_taped_graph(self, variant):
+    @pytest.mark.parametrize("batch", [3, 4, 5])  # unsplit, 2 + 2 and 2 + 3 rows
+    def test_no_parameter_gradient_and_same_output_as_taped_graph(self, variant, batch, split_micro_batches):
         cfg = micro_config(variant)
         store = init_model(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(4)
-        sig = rng.normal(size=(3, cfg.n)) + 1j * rng.normal(size=(3, cfg.n))
+        sig = rng.normal(size=(batch, cfg.n)) + 1j * rng.normal(size=(batch, cfg.n))
         out = model_forward(sig, store)
         assert all(t.grad is None for t in store.params.values())
         normalized = np.stack([minmax_normalize(row) for row in sig])
         taped = model_forward_tensor(CTensor.from_numpy(normalized), store)
         assert taped._parents
         assert np.array_equal(out, taped.data)
+
+    @pytest.mark.parametrize("rows, cpus, pieces",
+                             [(1023, 2, [1023]), (1024, 2, [512, 512]), (1024, 1, [1024])])
+    def test_splits_only_a_batch_with_enough_work_on_two_cpus(self, monkeypatch, rows, cpus, pieces):
+        # a micro row holds inner * channels = 32 feature values
+        store = make_store()
+        calls = []
+
+        def recording(x, store):
+            calls.append(x.shape[0])
+            return model_forward_tensor(x, store)
+
+        monkeypatch.setattr(model, "model_forward_tensor", recording)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(7)
+        sig = rng.normal(size=(rows, store.config.n)) + 1j * rng.normal(size=(rows, store.config.n))
+        whole = model_forward_tensor(Tensor(minmax_normalize(sig)), store).data
+        assert np.array_equal(model_forward(sig, store), whole)
+        assert sorted(calls) == pieces
 
     def test_default_cvswinfreq_batch_memory(self):
         # the taped graph of this call holds about 700 MiB of arrays

@@ -15,9 +15,9 @@ def test_a_checkout_against_itself_drifts_nowhere():
     )
     report = json.loads(proc.stdout)
     cases = report["cases"]
-    assert {"forward/default/cvswinfreq/batch", "forward/micro/swinfreq/single",
+    assert {"forward/default/cvswinfreq/batch", "forward/toy/swinfreq/batch5", "forward/micro/swinfreq/single",
             "train/cvswinfreq/loss", "train/swinfreq/grad/head.w"} <= cases.keys()
-    assert sum(name.startswith("forward/") for name in cases) == 12
+    assert sum(name.startswith("forward/") for name in cases) == 18
     assert set(cases.values()) == {0.0} and report["max"] == 0.0
     assert not report["missing_or_reshaped"]
     nodes = report["tape_nodes"]

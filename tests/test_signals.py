@@ -256,6 +256,31 @@ def test_minmax_normalize_contract():
     assert np.all(minmax_normalize(np.full(8, 3.0 + 1j)) == 0)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rows=st.integers(1, 6), n=st.integers(1, 48), log_scale=st.floats(-100.0, 100.0),
+       log_offset=st.floats(-3.0, 8.0), seed=st.integers(0, 2**16))
+def test_minmax_normalize_batch_is_its_rows_stacked_and_idempotent_per_row(rows, n, log_scale,
+                                                                         log_offset, seed):
+    # model_forward normalizes a whole batch before it splits it, so the
+    # batch must give each row the bits the row alone gives
+    rng = np.random.default_rng(seed)
+    offsets = 10.0**log_offset * np.exp(2j * np.pi * rng.uniform(size=(rows, 1)))
+    x = 10.0**log_scale * (offsets + rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n)))
+    x[rng.uniform(size=rows) < 0.2] = 10.0**log_scale * (1.0 - 2.0j)  # constant rows
+    y = minmax_normalize(x)
+    assert np.array_equal(y, np.stack([minmax_normalize(row) for row in x]))
+    for row, out in zip(x, y):
+        if np.all(row == row[0]):
+            assert np.all(out == 0)
+            continue
+        spread = np.abs(row - row.mean()).max()
+        assert np.abs(out).max() == pytest.approx(1.0)
+        # a second pass re-centres by the first pass's rounding of the mean,
+        # which grows with the row's offset against its spread
+        tol = 1e-12 * max(1.0, np.abs(row).max() / spread)
+        assert np.allclose(minmax_normalize(out), out, rtol=0.0, atol=tol)
+
+
 def test_scene_json_round_trip(tmp_path):
     scenes = [
         FrequencyScene([0.1, -0.2], [1.0 + 2j, -0.5]),
