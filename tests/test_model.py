@@ -170,15 +170,20 @@ class TestForward:
         out2 = model_forward(5.0 * sig + (2.0 - 1j), store)
         assert np.allclose(out1, out2, atol=1e-9)
 
-    @pytest.mark.parametrize("rows", [None, 4])  # one signal, and a batch that splits
-    def test_rejects_wrong_length(self, rows, split_micro_batches):
+    @staticmethod
+    def _assert_rejects_wrong_length(shape_of):
         store = make_store()
         n = store.config.n
-        shape = (n + 1,) if rows is None else (rows, n + 1)
         threads = threading.active_count()
         with pytest.raises(ValueError, match=re.escape(f"expected input length {n}, got {n + 1}")):
-            model_forward(np.ones(shape, dtype=complex), store)
+            model_forward(np.ones(shape_of(n + 1), dtype=complex), store)
         assert threading.active_count() == threads
+
+    def test_rejects_wrong_length(self, split_micro_batches):
+        self._assert_rejects_wrong_length(lambda length: (length,))
+
+    def test_rejects_wrong_length_of_a_batch_that_splits(self, split_micro_batches):
+        self._assert_rejects_wrong_length(lambda length: (4, length))
 
     @pytest.mark.parametrize("fn", [mf_forward, model_forward_tensor])
     def test_graph_rejects_unbatched_input(self, fn):
